@@ -28,11 +28,12 @@ from fractions import Fraction
 from math import isqrt
 
 from . import exponents as expo
-from .dickman import build_rho_table, rho
-from .grimm import g, g1, has_representation, verify_grimm, verify_grimm_summary
-from .intervals import window_residuals
+from .dickman import MAX_T, build_rho_table, rho
+from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
 from .primes import PrimeTable, TableLimitError, check_dusart, gap_check
-from .smooth import grimm_upper_bound, psi, psi_window
+from .smooth import (
+    ExceptionalScanReport, exceptional_scan, grimm_upper_bound, psi, psi_window, scan_c0,
+)
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
 ENV_TABLE_LIMIT = "GRIMMSMOOTH_TABLE_LIMIT"
@@ -81,9 +82,8 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 def _get_table(required: int, args) -> PrimeTable:
     global _table_cache
     limit = max(2, int(required))
-    env = os.environ.get(ENV_TABLE_LIMIT)
-    if env:
-        limit = max(limit, int(env))
+    if args.table_floor is not None:
+        limit = max(limit, args.table_floor)
     if args.table_limit is not None:
         if args.table_limit < required:
             raise TableLimitError(
@@ -97,13 +97,21 @@ def _get_table(required: int, args) -> PrimeTable:
     return _table_cache
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _env_int(name: str) -> int | None:
+    text = os.environ.get(name)
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _resolve_env(args) -> None:
+    """Read the environment defaults once, onto ``args``."""
+    workers = args.workers if args.workers is not None else _env_int(ENV_WORKERS)
+    args.worker_count = (os.cpu_count() or 1) if workers is None else max(1, workers)
+    args.table_floor = _env_int(ENV_TABLE_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +137,24 @@ def _run_shards(shards, shard_fn, table, workers, checkpoint=None, meta=None):
     done: dict[int, object] = {}
     ck = None
     if checkpoint:
+        lines = []
         if os.path.exists(checkpoint):
-            with open(checkpoint) as fh:
-                header = json.loads(fh.readline())
-                if header.get("meta") != meta:
-                    raise ValueError(
-                        f"checkpoint {checkpoint} was written for parameters "
-                        f"{header.get('meta')}, current run has {meta}"
-                    )
-                for line in fh:
-                    rec = json.loads(line)
-                    done[rec["shard"]] = rec["result"]
+            with open(checkpoint, "rb+") as fh:
+                data = fh.read()
+                # a run killed mid-write leaves an unterminated last line
+                end = data.rfind(b"\n") + 1
+                fh.truncate(end)
+            lines = data[:end].decode().splitlines()
+        if lines:
+            header = json.loads(lines[0])
+            if header.get("meta") != meta:
+                raise ValueError(
+                    f"checkpoint {checkpoint} was written for parameters "
+                    f"{header.get('meta')}, current run has {meta}"
+                )
+            for line in lines[1:]:
+                rec = json.loads(line)
+                done[rec["shard"]] = rec["result"]
             ck = open(checkpoint, "a")
         else:
             ck = open(checkpoint, "w")
@@ -204,30 +219,8 @@ def _gap_shard(bounds, table):
 
 
 def _scan_shard(payload, table):
-    ns, eps, c0 = payload
-    failures = 0
-    degenerate = 0
-    evaluated = 0
-    first: list[int] = []
-    for n in ns:
-        ne = n**eps
-        if ne < 2.0:
-            degenerate += 1
-            continue
-        evaluated += 1
-        z = int(ne)
-        res = window_residuals(n + 1, n + z, int(ne), table)
-        count = int((res <= ne).sum())
-        if count < c0 * ne:
-            failures += 1
-            if len(first) < 20:
-                first.append(n)
-    return {
-        "degenerate": degenerate,
-        "evaluated": evaluated,
-        "failures": failures,
-        "first_failures": first,
-    }
+    start, stop, eps, c0, stride = payload
+    return exceptional_scan(stop, eps, table, c0=c0, stride=stride, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +228,13 @@ def _scan_shard(payload, table):
 # ---------------------------------------------------------------------------
 
 
-def _g_required(n: int) -> int:
-    # the incremental search factors at most up to n + cap + 1
-    cap = max(8, math.ceil(4.0 * math.sqrt(n) * math.log(max(n, 2))))
-    return isqrt(n + cap + 1) + 1
-
-
 def _h_g(args):
-    table = _get_table(_g_required(args.n), args)
+    table = _get_table(search_table_limit(args.n), args)
     return [{"n": args.n, "g": g(args.n, table)}], 0, table.limit
 
 
 def _h_g1(args):
-    table = _get_table(_g_required(args.n), args)
+    table = _get_table(search_table_limit(args.n), args)
     return [{"n": args.n, "g1": g1(args.n, table)}], 0, table.limit
 
 
@@ -272,7 +259,7 @@ def _h_verify_grimm(args):
     shards = _range_shards(args.limit)
     meta = {"cmd": "verify-grimm", "limit": args.limit, "span": SHARD_SPAN}
     parts = _run_shards(
-        shards, _verify_shard, table, _workers(args), args.checkpoint, meta
+        shards, _verify_shard, table, args.worker_count, args.checkpoint, meta
     )
     runs = sum(p["runs"] for p in parts)
     failures = [row for p in parts for row in p["failures"]]
@@ -281,18 +268,19 @@ def _h_verify_grimm(args):
         if p["max_k"] > max_k:
             max_k, max_k_p = p["max_k"], p["max_k_p"]
     if args.emit_runs:
+        # every run between consecutive primes is representable except the
+        # failures the shards reported, each "p,k,not_representable,witness"
+        witness = {int(p): w for p, _, _, w in (f.split(",") for f in failures)}
+        ps = table.primes_in(2, args.limit).tolist()
         rows = [
             {
-                "p": r.p,
-                "k": r.k,
-                "status": "representable"
-                if r.result.representable
-                else "not_representable",
-                "witness": ""
-                if r.result.representable
-                else ";".join(map(str, sorted(r.result.hall_witness))),
+                "p": p,
+                "k": q - p - 1,
+                "status": "not_representable" if p in witness else "representable",
+                "witness": witness.get(p, ""),
             }
-            for r in verify_grimm(args.limit, table)
+            for p, q in zip(ps, ps[1:])
+            if q - p > 1
         ]
         print(
             f"runs={runs} failures={len(failures)} max_k={max_k} at p={max_k_p}",
@@ -318,7 +306,7 @@ def _h_gap_scan(args):
     shards = _range_shards(args.limit)
     meta = {"cmd": "gap-scan", "limit": args.limit, "span": SHARD_SPAN}
     parts = _run_shards(
-        shards, _gap_shard, table, _workers(args), args.checkpoint, meta
+        shards, _gap_shard, table, args.worker_count, args.checkpoint, meta
     )
     pairs = sum(p["pairs"] for p in parts)
     violations = [v for p in parts for v in p["violations"]]
@@ -375,22 +363,7 @@ def _h_psi(args):
 def _h_psi_window(args):
     table = _get_table(max(isqrt(args.x + args.z), int(args.y)), args)
     rep = psi_window(args.x, args.z, args.y, table)
-    return (
-        [
-            {
-                "x": rep.x,
-                "z": rep.z,
-                "y": rep.y,
-                "count": rep.count,
-                "pi_y": rep.pi_y,
-                "bound_established": rep.bound_established,
-                "smooth_head": rep.smooth_head,
-                "smooth_tail": rep.smooth_tail,
-            }
-        ],
-        0,
-        table.limit,
-    )
+    return [asdict(rep)], 0, table.limit
 
 
 def _h_grimm_bound(args):
@@ -413,6 +386,8 @@ def _h_grimm_bound(args):
 def _h_rho(args):
     t_max = args.t_max
     if args.t is not None:
+        if not 0 <= args.t <= MAX_T:
+            raise ValueError(f"--t must be in [0, {MAX_T}], got {args.t}")
         t_max = max(t_max, math.ceil(args.t))
     table = build_rho_table(t_max=t_max, step=args.step)
     if args.dump:
@@ -428,39 +403,28 @@ def _h_rho(args):
 
 
 def _h_exceptional_scan(args):
-    if not 0 < args.eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {args.eps}")
-    required = int(args.x_max**args.eps) + 2
-    table = _get_table(required, args)
-    c0 = args.c0
-    if c0 is None:
-        t = 1.0 / args.eps
-        c0 = rho(t, build_rho_table(t_max=math.ceil(t) + 1)) / 2.0
-    ns = list(range(1, args.x_max + 1, args.stride))
-    shard_n = max(1, SHARD_SPAN // 64)
+    c0 = scan_c0(args.eps, args.stride, args.c0)
+    table = _get_table(int(args.x_max**args.eps) + 2, args)
+    # SHARD_SPAN // 64 sampled n per shard
+    span = args.stride * (SHARD_SPAN // 64)
     shards = [
-        (ns[i : i + shard_n], args.eps, c0) for i in range(0, len(ns), shard_n)
+        (a, min(a + span - 1, args.x_max), args.eps, c0, args.stride)
+        for a in range(1, args.x_max + 1, span)
     ]
-    parts = _run_shards(shards, _scan_shard, table, _workers(args))
-    evaluated = sum(p["evaluated"] for p in parts)
-    failures = sum(p["failures"] for p in parts)
-    degenerate = sum(p["degenerate"] for p in parts)
-    first = [n for p in parts for n in p["first_failures"]][:20]
-    rows = [
-        {
-            "x_max": args.x_max,
-            "eps": args.eps,
-            "c0": c0,
-            "stride": args.stride,
-            "sampled": len(ns),
-            "degenerate": degenerate,
-            "evaluated": evaluated,
-            "failures": failures,
-            "failure_fraction": failures / evaluated if evaluated else 0.0,
-            "first_failures": ";".join(map(str, first)),
-        }
-    ]
-    return rows, 0, table.limit
+    parts = _run_shards(shards, _scan_shard, table, args.worker_count)
+    evaluated = sum(p.evaluated for p in parts)
+    failures = sum(p.failures for p in parts)
+    first = [n for p in parts for n in p.first_failures][:20]
+    rep = ExceptionalScanReport(
+        x_max=args.x_max, eps=args.eps, c0=float(c0), stride=args.stride,
+        sampled=sum(p.sampled for p in parts),
+        degenerate=sum(p.degenerate for p in parts),
+        evaluated=evaluated, failures=failures,
+        failure_fraction=failures / evaluated if evaluated else 0.0,
+        first_failures=tuple(first),
+    )
+    row = asdict(rep) | {"first_failures": ";".join(map(str, first))}
+    return [row], 0, table.limit
 
 
 def _h_ram_sum(args):
@@ -541,6 +505,19 @@ def _h_exponents(args):
 # ---------------------------------------------------------------------------
 
 
+def _positive(cast):
+    """argparse type: ``cast(text)``, rejected unless > 0 (errors name the flag)."""
+
+    def parse(text):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grimmsmooth",
@@ -605,10 +582,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true")
 
     p = add("exceptional-scan", _h_exceptional_scan, help="short-window smoothness failures")
-    p.add_argument("--x-max", type=int, required=True)
+    p.add_argument("--x-max", type=_positive(int), required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c0", type=float, default=None)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--c0", type=_positive(float), default=None)
+    p.add_argument("--stride", type=_positive(int), default=1)
 
     p = add("ram-sum", _h_ram_sum, help="scaled prime-counting sum S(x, alpha)")
     p.add_argument("--x", type=int, required=True)
@@ -635,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NON_PARAM_KEYS = {"handler", "subcommand", "manifest"}
+_NON_PARAM_KEYS = {"handler", "subcommand", "manifest", "worker_count", "table_floor"}
 
 
 def _manifest_params(args) -> dict:
@@ -658,6 +635,7 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
     t0 = time.perf_counter()
     buf = io.StringIO()
     try:
+        _resolve_env(args)
         rows, flag, table_limit = args.handler(args)
         _emit(rows, args.format, buf)
     except (ValueError, OverflowError) as e:
@@ -671,7 +649,7 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
         subcommand=args.subcommand,
         parameters=_manifest_params(args),
         table_limit=table_limit,
-        worker_count=_workers(args),
+        worker_count=args.worker_count,
         wall_time_s=time.perf_counter() - t0,
         result_digest=digest,
     )

@@ -40,12 +40,6 @@ class RhoTable:
     values: np.ndarray
     max_self_consistency_error: float
 
-    def write_csv(self, out) -> None:
-        """Two-column CSV (t, rho), one row per grid node."""
-        out.write("t,rho\n")
-        for i, v in enumerate(self.values):
-            out.write(f"{i * self.step:.10g},{v:.17g}\n")
-
 
 def _integrate(nodes_per_unit: int, n_nodes: int) -> np.ndarray:
     m = nodes_per_unit

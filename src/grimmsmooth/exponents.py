@@ -42,13 +42,6 @@ class ExponentReport:
     gamma: float | Fraction
     alpha1: float | None = None
 
-    def csv_row(self) -> str:
-        a1 = "" if self.alpha1 is None else f"{self.alpha1:.6f}"
-        return (
-            f"{float(self.lam):.10g},{float(self.alpha):.10g},"
-            f"{float(self.delta):.10g},{float(self.gamma):.10g},{a1}"
-        )
-
 
 def delta_of_lambda(lam, eps_prime=0):
     """1/4 + lambda/2 - eps', for lambda strictly inside (1/33, 1/29)."""

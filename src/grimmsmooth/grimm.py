@@ -158,6 +158,14 @@ def _search_cap(n: int) -> int:
     return max(8, math.ceil(4.0 * math.sqrt(n) * math.log(n)))
 
 
+def search_table_limit(n: int) -> int:
+    """Prime-table limit that g(n) and g1(n) may need: the incremental
+    search factors at most up to n + cap + 1."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return math.isqrt(n + _search_cap(n) + 1) + 1
+
+
 class _ChunkedWindow:
     """Factorization of n+1, n+2, ... materialized in growing chunks.
 

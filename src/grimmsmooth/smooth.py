@@ -174,21 +174,12 @@ def grimm_upper_bound(
     )
 
 
-def exceptional_scan(
-    x_max: int,
-    eps: float,
-    table: PrimeTable,
-    c0: float | None = None,
-    stride: int = 1,
-    max_reported: int = 20,
-) -> ExceptionalScanReport:
-    """Fraction of sampled n <= x_max failing
-    Psi(n + n^eps, n^eps) - Psi(n, n^eps) >= c0 * n^eps.
+def scan_c0(eps: float, stride: int, c0: float | None) -> float:
+    """Validate the :func:`exceptional_scan` parameters and return c0.
 
     Default c0 is rho(1/eps) / 2: half the limiting density of the window
     count, a scale-free stand-in for the inexplicit constant of the
-    almost-all theorems.  n with n^eps < 2 yield empty windows and are
-    counted as degenerate rather than failures.
+    almost-all theorems.
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
@@ -199,10 +190,28 @@ def exceptional_scan(
         c0 = rho(t, build_rho_table(t_max=math.ceil(t) + 1)) / 2.0
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
+    return c0
 
+
+def exceptional_scan(
+    x_max: int,
+    eps: float,
+    table: PrimeTable,
+    c0: float | None = None,
+    stride: int = 1,
+    max_reported: int = 20,
+    start: int = 1,
+) -> ExceptionalScanReport:
+    """Fraction of sampled n = start, start + stride, ... <= x_max failing
+    Psi(n + n^eps, n^eps) - Psi(n, n^eps) >= c0 * n^eps.
+
+    c0 defaults as in :func:`scan_c0`.  n with n^eps < 2 yield empty windows
+    and are counted as degenerate rather than failures.
+    """
+    c0 = scan_c0(eps, stride, c0)
     sampled = degenerate = evaluated = failures = 0
     first_failures: list[int] = []
-    for n in range(1, x_max + 1, stride):
+    for n in range(start, x_max + 1, stride):
         sampled += 1
         ne = n**eps
         if ne < 2.0:

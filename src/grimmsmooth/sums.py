@@ -45,13 +45,6 @@ class RamSumResult:
     heuristic: float  # -log(1 - alpha)
     delta_target: float | None = None
 
-    def csv_row(self) -> str:
-        dt = "" if self.delta_target is None else f"{self.delta_target:.6f}"
-        return (
-            f"{self.x},{self.alpha:.10g},{self.sum},"
-            f"{self.normalized:.6f},{self.heuristic:.6f},{dt}"
-        )
-
 
 def window_exponent_floor(x: int, alpha: float) -> int:
     """W = floor(x^alpha), clamped to >= 1 (degenerate tiny-x inputs)."""

@@ -150,7 +150,7 @@ def test_json_format(tmp_path):
     assert json.loads(out) == [{"n": 2, "g": 3}]
 
 
-def test_exit_code_2_on_bad_input(tmp_path):
+def test_exit_code_2_on_bad_input(tmp_path, capsys):
     code, _ = invoke(["psi", "--x", "-5", "--y", "3"], tmp_path)
     assert code == 2
     code, _ = invoke(["exceptional-scan", "--x-max", "10", "--eps", "0.7"], tmp_path)
@@ -159,6 +159,20 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2
     buf = io.StringIO()
     assert run(["no-such-command"], stdout=buf) == 2
+    # the message names the offending flag
+    scan = ["exceptional-scan", "--x-max", "100", "--eps", "0.4"]
+    for argv, needle in [
+        (scan + ["--stride", "-1"], "--stride"),
+        (scan + ["--stride", "0"], "--stride"),
+        (scan + ["--c0", "-1"], "--c0"),
+        (["exceptional-scan", "--x-max", "-5", "--eps", "0.3"], "--x-max"),
+        (["rho", "--t", "40"], "--t"),
+        (["g", "--n", "0"], "n must be >= 2"),
+    ]:
+        capsys.readouterr()
+        code, out = invoke(argv, tmp_path)
+        assert (code, out) == (2, ""), argv
+        assert needle in capsys.readouterr().err, argv
 
 
 def test_table_limit_too_small_is_resource_error(tmp_path):
@@ -183,6 +197,14 @@ def test_workers_do_not_change_bytes(tmp_path):
         ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--workers", "2"],
         tmp_path,
     )
+    assert base == two
+    emit = ["verify-grimm", "--limit", "300000", "--emit-runs"]
+    base = invoke(emit + ["--workers", "1"], tmp_path)
+    two = invoke(emit + ["--workers", "2"], tmp_path)
+    assert base == two
+    scan = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--format", "json"]
+    base = invoke(scan + ["--workers", "1"], tmp_path)
+    two = invoke(scan + ["--workers", "2"], tmp_path)
     assert base == two
 
 
@@ -293,3 +315,48 @@ def test_partial_checkpoint_resume(tmp_path):
         ["verify-grimm", "--limit", "5000000", "--checkpoint", str(ck)], tmp_path
     )
     assert resumed == probe == full
+
+def test_emit_runs_carry_shard_failures(tmp_path, monkeypatch):
+    import grimmsmooth.cli as cli
+
+    def fake_shard(bounds, table):
+        return {
+            "runs": 10,
+            "max_k": 5,
+            "max_k_p": 23,
+            "failures": ["23,5,not_representable,1;2;3"],
+        }
+
+    monkeypatch.setattr(cli, "_verify_shard", fake_shard)
+    code, out = invoke(["verify-grimm", "--limit", "40", "--emit-runs"], tmp_path)
+    assert code == 1
+    lines = out.splitlines()
+    assert "23,5,not_representable,1;2;3" in lines
+    assert "19,3,representable," in lines
+    assert len(lines) == 1 + 10  # header + the runs closing at primes <= 37
+
+
+def test_torn_checkpoint_resumes(tmp_path):
+    ck = tmp_path / "torn.ckpt"
+    argv = ["gap-scan", "--limit", "5000000", "--checkpoint", str(ck)]
+    full = invoke(argv, tmp_path)
+    text = ck.read_text()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 4  # header + 3 shards
+    # a run killed while writing the second shard's line
+    ck.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    assert invoke(argv, tmp_path) == full
+    assert ck.read_text() == text
+    # a torn header starts the checkpoint afresh
+    ck.write_text(lines[0][:10])
+    assert invoke(argv, tmp_path) == full
+    assert ck.read_text() == text
+
+
+def test_bad_env_values_exit_2(tmp_path, monkeypatch, capsys):
+    for var in ("GRIMMSMOOTH_WORKERS", "GRIMMSMOOTH_TABLE_LIMIT"):
+        with monkeypatch.context() as m:
+            m.setenv(var, "abc")
+            code, out = invoke(["g", "--n", "100"], tmp_path)
+        assert (code, out) == (2, "")
+        assert var in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -87,13 +86,3 @@ def test_interpolation_between_nodes():
     # midpoints on [1,2] still meet the analytic target
     for x in (1.0005, 1.2345678, 1.9998765):
         assert abs(rho(x, t) - (1 - math.log(x))) < 1e-6
-
-
-def test_csv_export():
-    t = build_rho_table(1.0, step=0.25)
-    buf = io.StringIO()
-    t.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,rho"
-    assert len(lines) == 6  # header + nodes 0, .25, .5, .75, 1.0
-    assert lines[1].startswith("0,1")

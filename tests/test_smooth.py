@@ -158,11 +158,25 @@ def test_exceptional_scan_default_c0(table_1e4):
     assert rep.sampled == len(range(1, 501, 7))
 
 
+def test_exceptional_scan_start_splits_the_range(table_1e4):
+    # n = 1, 4, 7, ... <= 3000 split at the sample n = 1501: counts add up
+    whole = exceptional_scan(3000, 0.4, table_1e4, c0=0.2, stride=3)
+    head = exceptional_scan(1500, 0.4, table_1e4, c0=0.2, stride=3)
+    tail = exceptional_scan(3000, 0.4, table_1e4, c0=0.2, stride=3, start=1501)
+    for field in ("sampled", "degenerate", "evaluated", "failures"):
+        assert getattr(whole, field) == getattr(head, field) + getattr(tail, field)
+    assert tail.sampled == len(range(1501, 3001, 3))
+    assert whole.first_failures == (head.first_failures + tail.first_failures)[:20]
+    assert tail.failures > 0
+
+
 def test_scan_validation(table_1e4):
     with pytest.raises(ValueError):
         exceptional_scan(100, 0.6, table_1e4)
     with pytest.raises(ValueError):
         exceptional_scan(100, 0.45, table_1e4, stride=0)
+    with pytest.raises(ValueError):
+        exceptional_scan(100, 0.45, table_1e4, c0=-1.0)
 
 
 def test_exceptional_scan_1e5_with_default_c0(table_1e4):
