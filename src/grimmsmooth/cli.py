@@ -505,17 +505,25 @@ def _h_exponents(args):
 # ---------------------------------------------------------------------------
 
 
-def _positive(cast):
-    """argparse type: ``cast(text)``, rejected unless > 0 (errors name the flag)."""
+def _checked(cast, accept, requirement: str):
+    """argparse type: ``cast(text)``, rejected unless ``accept(value)``
+    (errors name the flag)."""
 
     def parse(text):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
 
     parse.__name__ = cast.__name__
     return parse
+
+
+def _positive(cast):
+    return _checked(cast, lambda v: v > 0, "positive")
+
+
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -550,29 +558,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("verify-grimm", _h_verify_grimm, help="verify all composite runs below limit")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive(int), required=True)
     p.add_argument("--emit-runs", action="store_true")
     p.add_argument("--checkpoint", default=None)
 
     p = add("gap-scan", _h_gap_scan, help="prime gaps against 1 + (log p)^2")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive(int), required=True)
     p.add_argument("--checkpoint", default=None)
 
     p = add("dusart-check", _h_dusart, help="explicit pi and theta bounds up to limit")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive(int), required=True)
 
     p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
 
     p = add("psi-window", _h_psi_window, help="smooth count in (x, x+z]")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
 
     p = add("grimm-bound", _h_grimm_bound, help="certified g(x) < z from a smooth window")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.add_argument("--z", type=int, required=True)
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")

@@ -168,6 +168,13 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["exceptional-scan", "--x-max", "-5", "--eps", "0.3"], "--x-max"),
         (["rho", "--t", "40"], "--t"),
         (["g", "--n", "0"], "n must be >= 2"),
+        (["verify-grimm", "--limit", "-5"], "--limit"),
+        (["gap-scan", "--limit", "0"], "--limit"),
+        (["dusart-check", "--limit", "-1"], "--limit"),
+        (["psi", "--x", "10", "--y", "nan"], "--y"),
+        (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
+        (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
+        (["psi", "--x", "10", "--y", "inf"], "--y"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grimmsmooth import (
+    GrimmRunReport,
+    RepresentationResult,
+    VerifySummary,
     factor_interval,
     g,
     g1,
@@ -9,7 +14,14 @@ from grimmsmooth import (
     verify_grimm,
     verify_grimm_summary,
 )
-from oracles import distinct_primes, g1_prefix_union, g_exhaustive, sdr_exists
+from grimmsmooth import grimm
+from oracles import (
+    distinct_primes,
+    g1_prefix_union,
+    g_exhaustive,
+    largest_prime_factor,
+    sdr_exists,
+)
 
 
 def check_result(n, k, res, table):
@@ -130,14 +142,81 @@ def test_stream_results_match_direct_calls(table_1e4):
         assert direct == r.result, (r.p, r.k)
 
 
-def test_verify_summary_agrees_with_stream(table_1e5):
-    reports = list(verify_grimm(50_000, table_1e5))
-    summary = verify_grimm_summary(50_000, table_1e5)
-    assert summary.runs == len(reports)
-    assert len(summary.failures) == sum(
-        0 if r.result.representable else 1 for r in reports
+@pytest.fixture(scope="module")
+def reports_2e5(table_1e6):
+    return list(verify_grimm(200_000, table_1e6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 200_000), st.integers(2, 200_000))
+def test_verify_summary_agrees_with_stream(table_1e6, reports_2e5, a, b):
+    # the lpf fast path must reproduce the full matching of every run,
+    # restricted to the runs whose closing prime p + k + 1 lies in (lo, hi]
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    reports = [r for r in reports_2e5 if lo < r.p + r.k + 1 <= hi]
+    max_k, max_k_p = 0, 0
+    for r in reports:
+        if r.k > max_k:
+            max_k, max_k_p = r.k, r.p
+    expected = VerifySummary(
+        lo=lo, hi=hi, runs=len(reports),
+        failures=tuple(r for r in reports if not r.result.representable),
+        max_k=max_k, max_k_p=max_k_p,
     )
-    assert summary.max_k == max(r.k for r in reports)
+    assert verify_grimm_summary(hi, table_1e6, lo=lo) == expected
+
+
+@pytest.fixture(scope="module")
+def lpf_1e5():
+    """largest_prime_factor(n) for n <= 1e5, by trial division."""
+    return [0, 1] + [largest_prime_factor(n) for n in range(2, 100_001)]
+
+
+def colliding_runs(lpf, lo, hi):
+    """(p, prime sets) of each run p+1 .. q-1 with closing prime q in (lo, hi]
+    in which two elements share their largest prime factor."""
+    primes = [n for n in range(2, hi + 1) if lpf[n] == n]
+    out = []
+    for p, q in zip(primes, primes[1:]):
+        run = range(p + 1, q)
+        if q > lo and len({lpf[n] for n in run}) < len(run):
+            out.append((p, [distinct_primes(n) for n in run]))
+    return out
+
+
+def test_collision_detector_fires(monkeypatch, table_1e5, lpf_1e5):
+    # the summary matches exactly the runs whose lpf values collide
+    seen = []
+    match = grimm._match_window
+
+    def record(adj):
+        seen.append(adj)
+        return match(adj)
+
+    monkeypatch.setattr(grimm, "_match_window", record)
+    for shards in ([(2, 100_000)], [(2, 40_000), (40_000, 100_000)]):
+        for lo, hi in shards:
+            seen.clear()
+            s = verify_grimm_summary(hi, table_1e5, lo=lo)
+            expected = colliding_runs(lpf_1e5, lo, hi)
+            assert expected and seen == [w for _, w in expected], (lo, hi)
+            assert s.failures == ()
+
+
+def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):
+    def refuse(adj):
+        return RepresentationResult(False, hall_witness=frozenset({1, len(adj)}))
+
+    monkeypatch.setattr(grimm, "_match_window", refuse)
+    expected = tuple(
+        GrimmRunReport(p, len(w), refuse(w))
+        for p, w in colliding_runs(lpf_1e5, 2, 100_000)
+    )
+    assert verify_grimm_summary(100_000, table_1e5).failures == expected
+    a = verify_grimm_summary(40_000, table_1e5)
+    b = verify_grimm_summary(100_000, table_1e5, lo=40_000)
+    assert a.failures + b.failures == expected
 
 
 def test_verify_sharding_stitches(table_1e5):
@@ -165,8 +244,6 @@ def test_csv_rows(table_1e4):
     rep = list(verify_grimm(10, table_1e4))[0]
     assert rep.csv_row() == "3,1,representable"
     res = has_representation(2, 4, table_1e4)
-    from grimmsmooth import GrimmRunReport
-
     row = GrimmRunReport(2, 4, res).csv_row()
     assert row.startswith("2,4,not_representable,")
     assert ";".join(str(i) for i in sorted(res.hall_witness)) in row
