@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
 
+from . import __version__
 from . import exponents as expo
 from .dickman import MAX_T, build_rho_table, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
@@ -257,7 +258,10 @@ def _h_represent(args):
 def _h_verify_grimm(args):
     table = _get_table(args.limit, args)
     shards = _range_shards(args.limit)
-    meta = {"cmd": "verify-grimm", "limit": args.limit, "span": SHARD_SPAN}
+    meta = {
+        "cmd": "verify-grimm", "limit": args.limit, "span": SHARD_SPAN,
+        "version": __version__,
+    }
     parts = _run_shards(
         shards, _verify_shard, table, args.worker_count, args.checkpoint, meta
     )
@@ -304,7 +308,10 @@ def _h_verify_grimm(args):
 def _h_gap_scan(args):
     table = _get_table(args.limit, args)
     shards = _range_shards(args.limit)
-    meta = {"cmd": "gap-scan", "limit": args.limit, "span": SHARD_SPAN}
+    meta = {
+        "cmd": "gap-scan", "limit": args.limit, "span": SHARD_SPAN,
+        "version": __version__,
+    }
     parts = _run_shards(
         shards, _gap_shard, table, args.worker_count, args.checkpoint, meta
     )

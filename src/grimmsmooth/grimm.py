@@ -24,13 +24,13 @@ incremental loops carry a generous diagnostic cap and fail loudly rather
 than return a wrong value if it is ever hit.
 
 Verifying Grimm's conjecture below a limit decides every composite run
-between consecutive primes, factoring the range block by block.
-``verify_grimm`` matches every run and is the reference.
+between consecutive primes, block by block.  ``verify_grimm`` factors each
+block into prime sets, matches every run and is the reference.
 ``verify_grimm_summary`` takes the run counts from the prime gaps alone and
-matches only the runs in which two elements share their largest prime factor
-(distinct largest prime factors already form an assignment): it sorts one
-(run id, lpf) key per composite of a block and matches the runs that own an
-equal pair, which is about 0.02% of the runs below 1e7.
+sieves only the largest prime factor (lpf) of each block: distinct largest
+prime factors already form an assignment, so it sorts one (run id, lpf) key
+per composite and factors and matches only the runs that own an equal pair,
+which is about 0.02% of the runs below 1e7.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import factor_interval, factor_range
+from .intervals import factor_interval, factor_range, lpf_range
 from .primes import PrimeTable, TableLimitError
 
 
@@ -265,21 +265,19 @@ def _bounding_primes(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     return table.primes_in(2 if lo <= 2 else table.prev_prime(lo), hi)
 
 
-def _iter_blocks(table: PrimeTable, ps: np.ndarray):
-    """Yield ``(bps, blo, offsets, flat, lpf)`` per block of the runs between
-    the consecutive primes ``ps``.
+def _iter_blocks(ps: np.ndarray):
+    """Yield ``(bps, blo, bhi)`` per block of the runs between the
+    consecutive primes ``ps``.
 
-    ``bps`` is the slice of ``ps`` that bounds the block's runs; the block
-    factors the values blo = bps[0] + 1 .. bps[-1] - 1 with
-    :func:`factor_range`, and row ``n - blo`` of ``offsets``/``flat``/``lpf``
-    belongs to n.
+    ``bps`` is the slice of ``ps`` that bounds the block's runs, and the
+    block holds the values blo = bps[0] + 1 .. bhi = bps[-1] - 1.
     """
     i, n_p = 0, len(ps)
     while i + 1 < n_p:
         j = min(int(np.searchsorted(ps, ps[i] + _SCAN_BLOCK)), n_p - 1)
         blo, bhi = int(ps[i]) + 1, int(ps[j]) - 1
         if bhi >= blo:
-            yield (ps[i : j + 1], blo, *factor_range(blo, bhi, table))
+            yield ps[i : j + 1], blo, bhi
         i = j
 
 
@@ -297,7 +295,8 @@ def verify_grimm(limit: int, table: PrimeTable) -> Iterator[GrimmRunReport]:
             required=limit,
         )
     ps = _bounding_primes(table, 2, limit)
-    for bps, blo, offsets, flat, _ in _iter_blocks(table, ps):
+    for bps, blo, bhi in _iter_blocks(ps):
+        offsets, flat, _ = factor_range(blo, bhi, table)
         ps_l, offs, fl = bps.tolist(), offsets.tolist(), flat.tolist()
         for p, q in zip(ps_l, ps_l[1:]):
             if q - p > 1:
@@ -329,8 +328,9 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
     pairwise distinct they already form a valid assignment, so the full
     matching runs only on colliding runs: per block, every composite gets
     the key (run id, lpf), with the run id a cumulative count of the block's
-    primes, and equal neighbours in the sorted keys mark the runs to match.
-    Failure reports always carry the canonical matching certificate.
+    primes, and equal neighbours in the sorted keys mark the runs to factor
+    and match.  Failure reports always carry the canonical matching
+    certificate.
     """
     if limit > table.limit:
         raise TableLimitError(
@@ -345,16 +345,12 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
         a = int(np.argmax(ks))  # the first maximum, as a strict > scan keeps
         max_k, max_k_p = int(ks[a]), int(ps[a])
     failures: list[GrimmRunReport] = []
-    for bps, blo, offsets, flat, lpf in _iter_blocks(table, ps):
+    for bps, blo, bhi in _iter_blocks(ps):
+        lpf = lpf_range(blo, bhi, table)
         for a in _colliding_runs(bps, blo, lpf).tolist():
             p = int(bps[a])
             k = int(bps[a + 1]) - p - 1
-            # only this run's CSR rows become Python lists
-            r0 = p + 1 - blo
-            offs = offsets[r0 : r0 + k + 1].tolist()
-            fl = flat[offs[0] : offs[-1]].tolist()
-            adj = [fl[s - offs[0] : e - offs[0]] for s, e in zip(offs, offs[1:])]
-            res = _match_window(adj)
+            res = has_representation(p, k, table)
             if not res.representable:
                 failures.append(GrimmRunReport(p, k, res))
     return VerifySummary(

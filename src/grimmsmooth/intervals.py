@@ -5,12 +5,20 @@ the bipartite graph "window offset <-> primes dividing it", which is what
 both the matching decision (does the window admit distinct prime
 representatives?) and the smoothness counts consume.
 
-The method is interval sieving: every prime p <= sqrt(n+k) strikes its
-multiples inside the window and is divided out to full multiplicity; a
-residual cofactor r > 1 after that is necessarily prime (it can have no
-factor <= sqrt(n+k) left) and is appended as the last, largest entry of its
-row.  Multiplicities are deliberately discarded -- only the set of distinct
-primes per element is kept.
+The method is one strided prime-power sieve (:func:`_sieve`).  For every
+prime p up to the bound and every power q = p^j <= hi it multiplies the
+strided view ``smooth[(-lo) % q :: q]`` of the block's smooth parts by p, so
+each element ends up multiplied by p once per power of p dividing it: its
+p-part.  One integer division ``values // smooth`` then leaves the residual
+cofactor, with no gather/scatter of index arrays and no ``% p`` loop.  When
+the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it has no
+factor <= sqrt(hi) left) and is the element's largest prime factor; callers
+that need the largest prime factor below the bound also store ``p`` into the
+strided view ``lpf[(-lo) % p :: p]`` in ascending p, so the largest dividing
+prime is the one left standing.  Multiplicities are deliberately discarded --
+only the set of distinct primes per element is kept.  Windows of at most
+``_SMALL_BLOCK`` (factoring) or ``_SMALL_WINDOW`` (residuals) elements take
+plain Python loops instead, which beat the numpy calls there.
 
 Rows are stored CSR-style (``offsets`` into one flat int64 array) so that a
 window of a million elements stays a handful of numpy arrays, and a run of
@@ -101,48 +109,52 @@ def _factor_block_small(lo: int, hi: int, plist: list[int]):
     return offsets, flat, lpf
 
 
+def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
+    """Strided prime-power sieve of the values lo..hi (lo >= 1).
+
+    Returns ``(residual, lpf)``: ``residual[i]`` is lo+i with every prime of
+    ``primes`` divided out to full multiplicity.  With ``with_lpf``, which
+    needs ``primes`` to be all primes <= sqrt(hi), ``lpf[i]`` is the largest
+    prime factor of lo+i (1 for the unit); otherwise ``lpf`` is None and the
+    smooth counts skip those stores.
+    """
+    count = hi - lo + 1
+    smooth = np.ones(count, dtype=np.int64)
+    lpf = np.ones(count, dtype=np.int64) if with_lpf else None
+    for p in primes:
+        if with_lpf:
+            lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
+        q = p
+        while q <= hi:
+            smooth[-lo % q :: q] *= p
+            q *= p
+    residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
+    if with_lpf:
+        # a residual above 1 is the one prime factor above sqrt(hi)
+        np.copyto(lpf, residual, where=residual > 1)
+    return residual, lpf
+
+
 def _factor_block(lo: int, hi: int, plist: list[int]):
     """CSR (offsets, flat, lpf) of distinct primes for values lo..hi, lo >= 1."""
     count = hi - lo + 1
     if count <= _SMALL_BLOCK:
         return _factor_block_small(lo, hi, plist)
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    nfac = np.zeros(count, dtype=np.int64)
-    starts = []
-    for p in plist:
-        start = ((lo + p - 1) // p) * p
-        starts.append(start)
-        if start > hi:
-            continue
-        idx = np.arange(start - lo, count, p)
-        nfac[idx] += 1
-        sub = idx
-        residual[sub] //= p
-        while True:
-            m = residual[sub] % p == 0
-            if not m.any():
-                break
-            sub = sub[m]
-            residual[sub] //= p
-
+    residual, lpf = _sieve(lo, hi, plist, with_lpf=True)
     has_res = residual > 1
-    nfac += has_res
+    nfac = has_res.astype(np.int64)
+    for p in plist:
+        nfac[-lo % p :: p] += 1
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(nfac, out=offsets[1:])
-    flat = np.zeros(int(offsets[-1]), dtype=np.int64)
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
     fill = offsets[:-1].copy()
-    for p, start in zip(plist, starts):
-        if start > hi:
-            continue
-        idx = np.arange(start - lo, count, p)
-        flat[fill[idx]] = p
-        fill[idx] += 1
+    for p in plist:
+        row_fill = fill[-lo % p :: p]
+        flat[row_fill] = p
+        row_fill += 1
     rows = np.flatnonzero(has_res)
     flat[fill[rows]] = residual[rows]
-
-    lpf = np.ones(count, dtype=np.int64)
-    nonempty = nfac > 0
-    lpf[nonempty] = flat[offsets[1:][nonempty] - 1]
     return offsets, flat, lpf
 
 
@@ -155,6 +167,14 @@ def factor_range(lo: int, hi: int, table: PrimeTable):
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     return _factor_block(lo, hi, _sieving_primes(table, hi))
+
+
+def lpf_range(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
+    """Largest prime factor of each value lo..hi (1 for the unit), without
+    the CSR rows of :func:`factor_range`."""
+    if lo < 1 or hi < lo:
+        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    return _sieve(lo, hi, _sieving_primes(table, hi), with_lpf=True)[1]
 
 
 def factor_interval(n: int, k: int, table: PrimeTable) -> IntervalFactorization:
@@ -231,18 +251,4 @@ def window_residuals(lo: int, hi: int, prime_bound: int, table: PrimeTable):
                 res[i] = v
         return np.asarray(res, dtype=np.int64)
 
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    count = hi - lo + 1
-    for p in ps:
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        sub = np.arange(start - lo, count, p)
-        residual[sub] //= p
-        while True:
-            m = residual[sub] % p == 0
-            if not m.any():
-                break
-            sub = sub[m]
-            residual[sub] //= p
-    return residual
+    return _sieve(lo, hi, ps)[0]

@@ -12,7 +12,8 @@ multiplicity and look at what is left.
 * if y >= sqrt(x+z), the residual is 1 or a single prime, so the element is
   smooth iff the residual is <= y.
 
-Both regimes collapse to the single test ``residual <= y``.
+Both regimes collapse to the single test ``residual <= y``, taken as
+``residual <= max(y, 1)`` so that the unit counts for y < 1 as well.
 
 The payoff is the window criterion: if a window (x, x+z] holds more than
 pi(y) many y-smooth numbers, those elements alone overwhelm the supply of
@@ -117,7 +118,7 @@ def psi(x: int, y: float, table: PrimeTable) -> int:
     for lo in range(1, x + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x)
         res = window_residuals(lo, hi, bound, table)
-        count += int((res <= y).sum())
+        count += int((res <= max(y, 1)).sum())
     return count
 
 
@@ -141,7 +142,7 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
         res = window_residuals(lo, hi, bound, table)
-        smooth = np.flatnonzero(res <= y)
+        smooth = np.flatnonzero(res <= max(y, 1))
         if len(smooth):
             count += len(smooth)
             if head is None:

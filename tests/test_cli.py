@@ -1,6 +1,7 @@
 import io
 import json
 
+import grimmsmooth
 from grimmsmooth.cli import replay_manifest, run
 
 
@@ -238,7 +239,7 @@ def test_manifest_replay_ram_sum(tmp_path):
     assert digest2 == data["result_digest"]
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume(tmp_path, capsys):
     ck = tmp_path / "scan.ckpt"
     first = invoke(
         ["verify-grimm", "--limit", "200000", "--checkpoint", str(ck)], tmp_path
@@ -256,6 +257,16 @@ def test_checkpoint_resume(tmp_path):
         ["verify-grimm", "--limit", "300000", "--checkpoint", str(ck)], tmp_path
     )
     assert code == 2
+    # so is a checkpoint written by another version of the package
+    header = json.loads(lines[0])
+    assert header["meta"]["version"] == grimmsmooth.__version__
+    header["meta"]["version"] = "0.0.0-other"
+    ck.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    code, _ = invoke(
+        ["verify-grimm", "--limit", "200000", "--checkpoint", str(ck)], tmp_path
+    )
+    assert code == 2 and "0.0.0-other" in capsys.readouterr().err
 
 
 def test_env_table_limit_floor(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
+from math import isqrt, prod
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grimmsmooth import (
     TableLimitError,
@@ -9,7 +13,37 @@ from grimmsmooth import (
     omega_prefix,
 )
 from grimmsmooth.intervals import window_residuals
-from oracles import distinct_primes, largest_prime_factor, trial_factorization
+from oracles import (
+    distinct_primes,
+    largest_prime_factor,
+    trial_factorization,
+    trial_primes,
+)
+
+# Prime powers the drawn windows reach: high powers of 2 and 3, where
+# multiplicities run high, and prime squares p^2, whose p is the largest
+# sieving prime when the window ends at p^2.
+PRIME_POWERS = sorted(
+    {2**j for j in range(1, 21)}
+    | {3**j for j in range(1, 13)}
+    | {p * p for p in trial_primes(1000)}
+)
+
+
+@st.composite
+def windows(draw):
+    """[lo, hi] holding a prime power, often with hi equal to it, in
+    lengths on both sides of the 256- and 512-element Python paths."""
+    length = draw(
+        st.one_of(
+            st.integers(1, 600),
+            st.integers(400, 1100),
+            st.sampled_from([256, 257, 512, 513]),
+        )
+    )
+    power = draw(st.sampled_from(PRIME_POWERS))
+    hi = power + draw(st.one_of(st.just(0), st.integers(0, length - 1)))
+    return max(1, hi - length + 1), hi
 
 
 def test_examples(table_1e4):
@@ -151,3 +185,30 @@ def test_window_residuals_semantics(table_1e4):
         assert (r == 1) == (largest_prime_factor(v) <= y)
     # the unit: residual of 1 is 1
     assert window_residuals(1, 1, 10, table_1e4).tolist() == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows())
+@example((2**20 - 600, 2**20))  # hi = p^j on the numpy path
+@example((997**2 - 700, 997**2))
+def test_factor_range_matches_trial_division_property(table_1e4, window):
+    lo, hi = window
+    offsets, flat, lpf = factor_range(lo, hi, table_1e4)
+    offs, fl = offsets.tolist(), flat.tolist()
+    for i, v in enumerate(range(lo, hi + 1)):
+        fac = trial_factorization(v)
+        assert fl[offs[i] : offs[i + 1]] == sorted(fac), v
+        assert lpf[i] == max(fac, default=1), v
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), st.integers(0, 1100))
+@example((2**20 - 300, 2**20), 1024)
+@example((3**12 - 300, 3**12), 3)
+def test_window_residuals_match_trial_division_property(table_1e4, window, bound):
+    lo, hi = window
+    cut = min(bound, isqrt(hi))
+    res = window_residuals(lo, hi, bound, table_1e4).tolist()
+    for v, r in zip(range(lo, hi + 1), res):
+        fac = trial_factorization(v)
+        assert r == prod(p**e for p, e in fac.items() if p > cut), (v, bound)

@@ -1,7 +1,11 @@
 import math
+import sys
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grimmsmooth import (
     build_rho_table,
@@ -34,6 +38,43 @@ def test_psi_against_buchstab_recursion(table_1e5):
     # structurally independent second method
     for x, y in ((10_000, 30), (50_000, 100), (100_000, 316)):
         assert psi(x, y, table_1e5) == psi_buchstab(x, y, PRIMES_1E4), (x, y)
+
+
+@pytest.fixture(scope="module")
+def primes_2e5():
+    return trial_primes(200_000)
+
+
+@st.composite
+def psi_args(draw):
+    """(x, y) with x <= 2e5 and y below sqrt(x), between sqrt(x) and x,
+    above x, or in (0, 1); y is non-integer about half the time."""
+    x = draw(st.integers(1, 200_000))
+    r = isqrt(x)
+    y = draw(
+        st.one_of(
+            st.integers(1, max(1, r - 1)),
+            st.integers(r, x),
+            st.integers(x + 1, 2 * x + 10),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    if draw(st.booleans()):
+        y += draw(st.floats(0.0, 1.0, exclude_max=True))
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi_args())
+def test_psi_matches_buchstab_property(table_1e4, primes_2e5, args):
+    x, y = args
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 50_000))  # one frame per prime <= y
+    try:
+        want = psi_buchstab(x, y, primes_2e5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert psi(x, y, table_1e4) == want
 
 
 def test_psi_monotone_in_x_and_y(table_1e4):
