@@ -26,7 +26,12 @@ itself is computable.
 :func:`exceptional_scan` measures, over sampled n <= X, how often the window
 (n, n + n^eps] fails to contain c0 * n^eps many n^eps-smooth numbers; the
 constants in the known almost-all results are not explicit, so the scan
-reports empirical failure fractions rather than asserting any.
+reports empirical failure fractions rather than asserting any.  The window
+length z = int(n^eps) changes only every so many n, so the scan takes the
+sampled n of one z together: where their windows overlap (stride <= z) it
+sieves the stretch they cover once, in blocks of at most ``_BLOCK`` values,
+and reads every window's count off one prefix sum of the smooth flags;
+disjoint windows (stride > z) are sieved one by one, never the gaps.
 """
 
 from __future__ import annotations
@@ -207,28 +212,69 @@ def exceptional_scan(
     Psi(n + n^eps, n^eps) - Psi(n, n^eps) >= c0 * n^eps.
 
     c0 defaults as in :func:`scan_c0`.  n with n^eps < 2 yield empty windows
-    and are counted as degenerate rather than failures.
+    and are counted as degenerate rather than failures.  The windows are
+    counted by :func:`_window_counts`, which sieves each run of equal-length
+    windows once; the threshold n^eps is the Python float ``n**eps`` of
+    every sampled n, so neither the counts nor the failures depend on how
+    the runs are cut.  ``start`` must be >= 1.
     """
+    if start < 1:
+        raise ValueError(f"start must be >= 1, got {start}")
     c0 = scan_c0(eps, stride, c0)
-    sampled = degenerate = evaluated = failures = 0
+    samples = range(start, x_max + 1, stride)
+    degenerate = failures = 0
     first_failures: list[int] = []
-    for n in range(start, x_max + 1, stride):
-        sampled += 1
-        ne = n**eps
-        if ne < 2.0:
-            degenerate += 1
-            continue
-        z = int(ne)
-        evaluated += 1
-        res = window_residuals(n + 1, n + z, int(ne), table)
-        count = int((res <= ne).sum())
-        if count < c0 * ne:
-            failures += 1
-            if len(first_failures) < max_reported:
-                first_failures.append(n)
+    for s in range(0, len(samples), _BLOCK):
+        part = samples[s : s + _BLOCK]
+        ne = np.fromiter((n**eps for n in part), dtype=np.float64, count=len(part))
+        live = ne >= 2.0
+        degenerate += len(part) - int(live.sum())
+        ns = np.arange(part.start, part.stop, stride, dtype=np.int64)[live]
+        ne = ne[live]
+        counts = _window_counts(ns, ne.astype(np.int64), stride, table)
+        failed = ns[counts < c0 * ne]
+        failures += len(failed)
+        room = max(0, max_reported - len(first_failures))
+        first_failures.extend(failed[:room].tolist())
+    evaluated = len(samples) - degenerate
     return ExceptionalScanReport(
-        x_max=x_max, eps=eps, c0=float(c0), stride=stride, sampled=sampled,
+        x_max=x_max, eps=eps, c0=float(c0), stride=stride, sampled=len(samples),
         degenerate=degenerate, evaluated=evaluated, failures=failures,
         failure_fraction=failures / evaluated if evaluated else 0.0,
         first_failures=tuple(first_failures),
     )
+
+
+def _window_counts(
+    ns: np.ndarray, z: np.ndarray, stride: int, table: PrimeTable
+) -> np.ndarray:
+    """Number of z-smooth values in each window (n, n + z], for ascending n.
+
+    Since z <= n^eps with eps < 1/2, z <= isqrt(n + z): the residual sieve
+    divides out every prime <= z, so an element is z-smooth iff its residual
+    is 1 (any other residual exceeds z, and with it n^eps).  Consecutive n
+    sharing a z form a run; when stride <= z the run's windows overlap or
+    abut, so one :func:`window_residuals` call covers up to ``_BLOCK``
+    values of it and every window is a difference of one prefix sum.  When
+    stride > z the windows are disjoint and each is sieved alone, so the
+    gaps between them are never touched.
+    """
+    counts = np.empty(len(ns), dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(z)) + 1).tolist(), len(ns)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        i = a
+        while i < b:
+            n, w = int(ns[i]), int(z[i])
+            j = i + 1
+            if stride <= w:  # overlapping or abutting windows share one sieve
+                j = max(j, a + int(np.searchsorted(ns[a:b], n + _BLOCK - w, "right")))
+            smooth = window_residuals(n + 1, int(ns[j - 1]) + w, w, table) == 1
+            if j == i + 1:  # a lone window: a prefix sum costs more than it saves
+                counts[i] = np.count_nonzero(smooth)
+            else:
+                cs = np.zeros(len(smooth) + 1, dtype=np.int64)
+                np.cumsum(smooth, out=cs[1:])
+                off = ns[i:j] - n
+                counts[i:j] = cs[off + w] - cs[off]
+            i = j
+    return counts

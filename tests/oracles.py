@@ -134,3 +134,39 @@ def ram_sum_double_loop(x: int, alpha: float, primes: list[int]) -> int:
         total += sum(1 for p in primes if lo < p <= hi)
         j += 1
     return total
+
+
+def exceptional_scan_reference(
+    x_max: int,
+    eps: float,
+    c0: float,
+    stride: int = 1,
+    max_reported: int = 20,
+    start: int = 1,
+) -> dict:
+    """The fields of an exceptional-scan report, one window at a time.
+
+    Each sampled n with n^eps >= 2 counts the n^eps-smooth values of
+    (n, n + int(n^eps)] by trial division and fails when that count is
+    below c0 * n^eps; n with n^eps < 2 are degenerate.
+    """
+    sampled = degenerate = failures = 0
+    first: list[int] = []
+    for n in range(start, x_max + 1, stride):
+        sampled += 1
+        ne = n**eps
+        if ne < 2.0:
+            degenerate += 1
+            continue
+        if smooth_count_direct(n + 1, n + int(ne), ne) < c0 * ne:
+            failures += 1
+            if len(first) < max_reported:
+                first.append(n)
+    evaluated = sampled - degenerate
+    return {
+        "x_max": x_max, "eps": eps, "c0": float(c0), "stride": stride,
+        "sampled": sampled, "degenerate": degenerate, "evaluated": evaluated,
+        "failures": failures,
+        "failure_fraction": failures / evaluated if evaluated else 0.0,
+        "first_failures": tuple(first),
+    }

@@ -229,6 +229,21 @@ def test_manifest_written_and_replayable(tmp_path):
     assert digest2 == data["result_digest"]
 
 
+def test_manifest_records_peak_rss(tmp_path):
+    mpath = tmp_path / "rss.manifest.json"
+    argv = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--workers", "2"]
+    code, out = invoke(argv, tmp_path, manifest=mpath)
+    assert code == 0
+    data = json.loads(mpath.read_text())
+    rss = data["peak_rss_kib"]
+    assert set(rss) == {"self", "children"}
+    assert all(isinstance(v, int) and v >= 0 for v in rss.values())
+    assert rss["self"] > 0
+    # the field is not an invocation parameter: a replay prints the same bytes
+    code2, digest2 = replay_manifest(str(mpath))
+    assert (code2, digest2) == (0, data["result_digest"])
+
+
 def test_manifest_replay_ram_sum(tmp_path):
     mpath = tmp_path / "rs.manifest.json"
     code, out = invoke(

@@ -1,12 +1,14 @@
 import math
 import sys
+from dataclasses import asdict
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import grimmsmooth.smooth as smooth
 from grimmsmooth import (
     build_rho_table,
     exceptional_scan,
@@ -16,7 +18,9 @@ from grimmsmooth import (
     psi_window,
     rho,
 )
-from oracles import psi_buchstab, smooth_count_direct, trial_primes
+from oracles import (
+    exceptional_scan_reference, psi_buchstab, smooth_count_direct, trial_primes,
+)
 
 PRIMES_1E4 = trial_primes(10_000)
 
@@ -218,6 +222,51 @@ def test_scan_validation(table_1e4):
         exceptional_scan(100, 0.45, table_1e4, stride=0)
     with pytest.raises(ValueError):
         exceptional_scan(100, 0.45, table_1e4, c0=-1.0)
+    for start in (0, -3):
+        with pytest.raises(ValueError, match="start"):
+            exceptional_scan(100, 0.45, table_1e4, c0=0.1, start=start)
+
+
+@st.composite
+def scan_args(draw):
+    """Scans over n <= 3000 whose stride falls below and above n^eps, with
+    c0 log-uniform so that some windows sit at the failure threshold."""
+    x_max = draw(st.integers(0, 3000))
+    return {
+        "x_max": x_max,
+        "eps": draw(st.floats(0.05, 0.5, exclude_min=True, exclude_max=True)),
+        "c0": math.exp(draw(st.floats(math.log(0.005), 0.0))),
+        "stride": draw(st.one_of(st.integers(1, 8), st.integers(1, 60))),
+        "max_reported": draw(st.integers(0, 25)),
+        "start": draw(st.integers(1, x_max + 1)),
+    }
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@settings(max_examples=40, deadline=None)
+@given(scan_args())
+# a dense scan near the failure threshold: any window miscounted by one shows
+@example({"x_max": 3000, "eps": 0.45, "c0": 0.3, "stride": 2, "max_reported": 20, "start": 1})
+def test_exceptional_scan_matches_reference_property(table_1e4, block, args):
+    # block = 64 cuts the sample segments and the runs of equal z into
+    # several sieve calls; the report must not change
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(smooth, "_BLOCK", block)
+        rep = exceptional_scan(table=table_1e4, **args)
+    assert asdict(rep) == exceptional_scan_reference(**args)
+
+
+def test_exceptional_scan_benchmark_pin(table_1e4):
+    # perfbench's windows part at seed 0 (default c0 = rho(1/0.3) / 2); the
+    # same figures are recomputed there from an independent lpf sieve
+    rep = exceptional_scan(400_000, 0.3, table_1e4, stride=4)
+    assert (rep.sampled, rep.degenerate) == (100_000, 3)
+    assert (rep.evaluated, rep.failures) == (99_997, 32_095)
+    assert rep.first_failures == (
+        13, 17, 21, 25, 29, 33, 37, 41, 49, 57,
+        65, 73, 77, 81, 85, 89, 97, 101, 109, 113,
+    )
 
 
 def test_exceptional_scan_1e5_with_default_c0(table_1e4):
