@@ -33,7 +33,6 @@ from .intervals import (
     factor_interval,
     factor_range,
     is_smooth,
-    omega_prefix,
 )
 from .primes import (
     DusartReport,
@@ -110,7 +109,6 @@ __all__ = [
     "grimm_upper_bound",
     "has_representation",
     "is_smooth",
-    "omega_prefix",
     "phi",
     "phi_sum",
     "pi_window_terms",

@@ -165,7 +165,8 @@ def _run_shards(shards, shard_fn, table, workers, checkpoint=None, meta=None):
 
     todo = [(i, s) for i, s in enumerate(shards) if i not in done]
     try:
-        if todo and workers > 1 and hasattr(os, "fork"):
+        # a pool for a single shard only adds its start-up
+        if len(todo) > 1 and workers > 1 and hasattr(os, "fork"):
             import multiprocessing as mp
 
             global _worker_table, _worker_fn
@@ -413,8 +414,8 @@ def _h_rho(args):
 def _h_exceptional_scan(args):
     c0 = scan_c0(args.eps, args.stride, args.c0)
     table = _get_table(int(args.x_max**args.eps) + 2, args)
-    # SHARD_SPAN // 64 sampled n per shard
-    span = args.stride * (SHARD_SPAN // 64)
+    # SHARD_SPAN sampled n per shard
+    span = args.stride * SHARD_SPAN
     shards = [
         (a, min(a + span - 1, args.x_max), args.eps, c0, args.stride)
         for a in range(1, args.x_max + 1, span)

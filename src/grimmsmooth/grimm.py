@@ -6,31 +6,41 @@ representatives for the family of prime sets of the window, so the decision
 is a maximum bipartite matching problem: offsets on one side, primes on the
 other, edges given by divisibility.
 
-The matcher is the classic augmenting-path search (Kuhn), offsets processed
-in increasing order and candidate primes tried in increasing order, which
-makes the produced assignment reproducible.  When some offset cannot be
-matched, the alternating tree of the failed search yields a Hall violator:
-the failed offset together with the owners of every prime reached has a
-prime neighborhood strictly smaller than itself.  That set is returned as an
+The matcher is the classic augmenting-path search (Kuhn).  For
+``has_representation`` and the run verification it processes offsets in
+increasing order and tries candidate primes in increasing order, which makes
+the produced assignment reproducible.  When some offset cannot be matched,
+the alternating tree of the failed search yields a Hall violator: the failed
+offset together with the owners of every prime reached has a prime
+neighborhood strictly smaller than itself.  That set is returned as an
 independently checkable non-representability certificate.
 
 g(n) is the largest k such that (n, k) is representable.  Because any
 representation of (n, k) restricts to one of (n, l) for l < k, g is computed
 incrementally: keep the matching, add one offset at a time, stop at the first
-offset that cannot be augmented.  g1(n) is the weaker prefix condition
-omega((n+1)...(n+l)) >= l for all l <= k, computed by streaming the prefix
-union of prime sets.  No a-priori bound for either is available, so the
-incremental loops carry a generous diagnostic cap and fail loudly rather
-than return a wrong value if it is ever hit.
+offset that cannot be augmented.  Both g and g1 read one window of largest
+prime factors (lpf), ``lpf_range(n+1, n+L)``, whose length L doubles as the
+search needs it.  g returns a number, not an assignment, and whether a
+prefix has a perfect matching does not depend on the order in which primes
+are tried, so g tries the largest prime first: an offset whose lpf no other
+offset holds takes it, a one-edge augmenting path, and only the others run
+the Kuhn search, over rows listed in descending order and built when it
+first visits them.  g1(n) is the weaker prefix condition
+omega((n+1)...(n+l)) >= l for all l <= k.  It needs no rows: a prime
+p <= sqrt(n+L) first divides the window at offset (-(n+1)) mod p, and a
+larger prime divides only values it is the lpf of, so the prefix counts are
+one cumulative sum of first occurrences.  No a-priori bound for either is
+available, so the incremental searches carry a generous diagnostic cap and
+fail loudly rather than return a wrong value if it is ever hit.
 
 Verifying Grimm's conjecture below a limit decides every composite run
 between consecutive primes, block by block.  ``verify_grimm`` factors each
 block into prime sets, matches every run and is the reference.
 ``verify_grimm_summary`` takes the run counts from the prime gaps alone and
-sieves only the largest prime factor (lpf) of each block: distinct largest
-prime factors already form an assignment, so it sorts one (run id, lpf) key
-per composite and factors and matches only the runs that own an equal pair,
-which is about 0.02% of the runs below 1e7.
+sieves only the lpf of each block: distinct largest prime factors already
+form an assignment, so it sorts one (run id, lpf) key per composite and
+factors and matches only the runs that own an equal pair, which is about
+0.02% of the runs below 1e7.
 """
 
 from __future__ import annotations
@@ -175,32 +185,47 @@ def search_table_limit(n: int) -> int:
     return math.isqrt(n + _search_cap(n) + 1) + 1
 
 
-class _ChunkedWindow:
-    """Factorization of n+1, n+2, ... materialized in growing chunks.
+class _LpfWindow:
+    """Largest prime factors of n+1, ..., n+L, and each offset's distinct
+    primes on demand.
 
-    ``max_rows`` bounds how far ahead the window may factor, which also
-    bounds the prime-table range the search can demand.
+    L starts at max(64, isqrt(n)) and doubles up to ``max_rows``, which
+    bounds the prime-table range the search can demand.  With ``root`` =
+    isqrt(n+L), a value v <= n+L has at most one prime factor above root,
+    and if it has one, that factor is its lpf.  So row i (of v = n+i+1) is
+    the lpf when it exceeds root, then the primes <= root dividing v, in
+    descending order.  Rows are built only when a search asks for them.
     """
 
     def __init__(self, n: int, table: PrimeTable, max_rows: int):
         self.n = n
         self.table = table
         self.max_rows = max_rows
-        self.adj: list[list[int]] = []
-        self._chunk = 64
+        self.lpf = np.empty(0, dtype=np.int64)
+        self._rows: dict[int, list[int]] = {}
+        self.grow(min(max(64, math.isqrt(n)), max_rows))
 
-    def row(self, i: int) -> list[int]:
-        while i >= len(self.adj):
-            lo = self.n + len(self.adj) + 1
-            hi = min(lo + self._chunk - 1, self.n + self.max_rows)
-            offsets, flat, _ = factor_range(lo, hi, self.table)
-            offs = offsets.tolist()
-            fl = flat.tolist()
-            self.adj.extend(
-                fl[offs[j] : offs[j + 1]] for j in range(hi - lo + 1)
-            )
-            self._chunk = min(self._chunk * 2, 4096)
-        return self.adj[i]
+    def grow(self, length: int) -> None:
+        """Extend the window to L = ``length`` rows (sieving only the new ones)."""
+        lo = self.n + len(self.lpf) + 1
+        self.lpf = np.concatenate([self.lpf, lpf_range(lo, self.n + length, self.table)])
+        self.lpfs = self.lpf.tolist()
+        self.root = math.isqrt(self.n + length)
+        self.primes = np.array(self.table.prime_list(self.root), dtype=np.int64)
+
+    def double(self) -> None:
+        """Double L, up to ``max_rows``."""
+        self.grow(min(2 * len(self.lpf), self.max_rows))
+
+    def __getitem__(self, i: int) -> list[int]:
+        row = self._rows.get(i)
+        if row is None:
+            v, top = self.n + i + 1, self.lpfs[i]
+            row = self.primes[v % self.primes == 0][::-1].tolist()
+            if top > self.root:
+                row.insert(0, top)
+            self._rows[i] = row
+        return row
 
 
 def g(n: int, table: PrimeTable) -> int:
@@ -208,20 +233,27 @@ def g(n: int, table: PrimeTable) -> int:
 
     Incremental matching: the first offset that admits no augmenting path
     terminates the search (valid because representations restrict to
-    prefixes).
+    prefixes).  An offset whose lpf is still free takes it, a one-edge
+    augmenting path; only the others run the Kuhn search.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     cap = _search_cap(n)
-    win = _ChunkedWindow(n, table, cap + 1)
+    win = _LpfWindow(n, table, cap + 1)
     owner: dict[int, int] = {}
     matched: list[int | None] = []
     i = 0
     while True:
-        win.row(i)
-        matched.append(None)
-        if _augment(i, win.adj, owner, matched) is not None:
-            return i
+        if i == len(win.lpfs):
+            win.double()
+        p = win.lpfs[i]
+        if p not in owner:
+            owner[p] = i
+            matched.append(p)
+        else:
+            matched.append(None)
+            if _augment(i, win, owner, matched) is not None:
+                return i
         i += 1
         if i > cap:
             raise SearchCapExceeded(
@@ -230,24 +262,40 @@ def g(n: int, table: PrimeTable) -> int:
             )
 
 
+def _prefix_union(win: _LpfWindow) -> np.ndarray:
+    """Entry l-1 = number of distinct primes dividing (n+1)...(n+l), l <= L.
+
+    A prime p <= root first divides the window at offset (-(n+1)) mod p; a
+    larger prime divides only the values it is the lpf of, so it first
+    counts at its first occurrence among those.
+    """
+    length = len(win.lpf)
+    first = -(win.n + 1) % win.primes
+    counts = np.bincount(first[first < length], minlength=length)
+    big = np.flatnonzero(win.lpf > win.root)
+    _, at = np.unique(win.lpf[big], return_index=True)
+    counts += np.bincount(big[at], minlength=length)
+    return np.cumsum(counts)
+
+
 def g1(n: int, table: PrimeTable) -> int:
     """Largest k with omega((n+1)...(n+l)) >= l for every l <= k."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     cap = _search_cap(n)
-    win = _ChunkedWindow(n, table, cap + 1)
-    seen: set[int] = set()
-    l = 1
+    win = _LpfWindow(n, table, cap + 1)
     while True:
-        seen.update(win.row(l - 1))
-        if len(seen) < l:
-            return l - 1
-        l += 1
-        if l > cap:
+        union = _prefix_union(win)
+        checked = min(len(union), cap)
+        short = np.flatnonzero(union[:checked] <= np.arange(checked))
+        if len(short):
+            return int(short[0])  # l = short[0] + 1 is the first short prefix
+        if checked == cap:
             raise SearchCapExceeded(
                 f"g1({n}) still extendable past diagnostic cap {cap}; "
                 f"raise the cap if this is expected"
             )
+        win.double()
 
 
 # ---------------------------------------------------------------------------

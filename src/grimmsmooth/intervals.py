@@ -190,20 +190,6 @@ def factor_interval(n: int, k: int, table: PrimeTable) -> IntervalFactorization:
     )
 
 
-def omega_prefix(f: IntervalFactorization) -> list[int]:
-    """Entry l (1-based) = number of distinct primes dividing (n+1)...(n+l).
-
-    Each prime contributes at the first row it appears in; the prefix counts
-    are the cumulative sums of those first occurrences, hence nondecreasing.
-    """
-    if len(f.primes_flat) == 0:
-        return [0] * f.k
-    _, first = np.unique(f.primes_flat, return_index=True)
-    rows = np.searchsorted(f.offsets, first, side="right") - 1
-    per_row = np.bincount(rows, minlength=f.k)
-    return np.cumsum(per_row).tolist()
-
-
 def is_smooth(f: IntervalFactorization, offset: int, y: float) -> bool:
     """True iff every prime factor of n+offset is <= y."""
     if not 1 <= offset <= f.k:

@@ -216,6 +216,29 @@ def test_workers_do_not_change_bytes(tmp_path):
     assert base == two
 
 
+def test_one_shard_runs_in_process(tmp_path, monkeypatch):
+    import os
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4"]
+    base = invoke(argv + ["--workers", "1"], tmp_path)
+    assert base[0] == 0
+    assert invoke(argv + ["--workers", "2"], tmp_path) == base
+
+
+def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
+    import grimmsmooth.cli as cli
+
+    argv = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--stride", "3"]
+    base = invoke(argv + ["--workers", "1"], tmp_path)
+    monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 8 shards of 384 values
+    assert invoke(argv + ["--workers", "1"], tmp_path) == base
+    assert invoke(argv + ["--workers", "2"], tmp_path) == base
+
+
 def test_manifest_written_and_replayable(tmp_path):
     mpath = tmp_path / "run.manifest.json"
     code, out = invoke(["gap-scan", "--limit", "50000"], tmp_path, manifest=mpath)

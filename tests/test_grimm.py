@@ -1,5 +1,7 @@
+from math import isqrt
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grimmsmooth import (
@@ -105,6 +107,63 @@ def test_g1_example_values(table_1e4):
 def test_g_le_g1(table_1e5):
     for n in range(2, 10_001):
         assert g(n, table_1e5) <= g1(n, table_1e5), n
+
+
+# n whose g and g1 both run past the search window's first length
+# max(64, isqrt(n)), so that the window doubles
+WINDOW_DOUBLING = (2555, 2760, 10741)
+
+
+def test_doubling_examples_outgrow_the_first_window(table_1e4):
+    for n in WINDOW_DOUBLING:
+        first = max(64, isqrt(n))
+        assert g(n, table_1e4) >= first and g1(n, table_1e4) >= first, n
+
+
+def test_lpf_window_rows_match_trial_division(table_1e4):
+    # every row is the distinct primes of its value, largest first, before
+    # and after the window doubles (which raises its sqrt bound)
+    for n in list(range(2, 300)) + list(WINDOW_DOUBLING):
+        win = grimm._LpfWindow(n, table_1e4, 1000)
+        for doubled in (False, True):
+            for i in range(len(win.lpfs)):
+                want = distinct_primes(n + i + 1)[::-1]
+                assert win[i] == want and win.lpfs[i] == want[0], (n, i, doubled)
+            win.double()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(2, 12_000), st.integers(2, 200_000)))
+@example(WINDOW_DOUBLING[0])
+@example(WINDOW_DOUBLING[-1])
+def test_g_and_g1_certified_property(table_1e4, n):
+    assert g1(n, table_1e4) == g1_prefix_union(n)
+    k = g(n, table_1e4)
+    res = has_representation(n, k, table_1e4)
+    assert res.representable
+    check_result(n, k, res, table_1e4)
+    res = has_representation(n, k + 1, table_1e4)
+    assert not res.representable
+    check_result(n, k + 1, res, table_1e4)
+
+
+def test_search_cap_behaviour(monkeypatch, table_1e4):
+    # g raises once it could extend past offset cap, i.e. iff g(n) > cap;
+    # g1 raises iff no prefix of length <= cap falls short, i.e. g1(n) >= cap
+    ns = list(range(2, 120)) + list(WINDOW_DOUBLING)
+    truth = {n: (g(n, table_1e4), g1(n, table_1e4)) for n in ns}
+    fixed = (1, 2, 3, 5, 8, 13, 21, 40, 63, 64, 65, 100, 130)
+    for n, (gt, g1t) in truth.items():
+        for cap in sorted(set(fixed) | {c for v in (gt, g1t) for c in (v - 1, v, v + 1)}):
+            if cap < 1:
+                continue
+            monkeypatch.setattr(grimm, "_search_cap", lambda _n, c=cap: c)
+            for fn, value, raises in ((g, gt, gt > cap), (g1, g1t, g1t >= cap)):
+                if raises:
+                    with pytest.raises(grimm.SearchCapExceeded):
+                        fn(n, table_1e4)
+                else:
+                    assert fn(n, table_1e4) == value, (fn.__name__, n, cap)
 
 
 def test_representable_is_monotone_in_k(table_1e4):

@@ -10,7 +10,6 @@ from grimmsmooth import (
     factor_interval,
     factor_range,
     is_smooth,
-    omega_prefix,
 )
 from grimmsmooth.intervals import window_residuals
 from oracles import (
@@ -86,32 +85,6 @@ def test_rows_reconstruct_value(table_1e4):
             while v % p == 0:
                 v //= p
         assert v == 1
-
-
-def test_omega_prefix_examples(table_1e4):
-    assert omega_prefix(factor_interval(8, 3, table_1e4)) == [1, 3, 4]
-    assert omega_prefix(factor_interval(1, 1, table_1e4)) == [1]
-    assert omega_prefix(factor_interval(2, 4, table_1e4)) == [1, 2, 3, 3]
-
-
-def test_omega_prefix_is_nondecreasing_and_bounded(table_1e4):
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(1, 5000))
-        k = int(rng.integers(1, 40))
-        f = factor_interval(n, k, table_1e4)
-        om = omega_prefix(f)
-        sizes = [len(s) for s in f.prime_sets]
-        prev = 0
-        for l in range(k):
-            assert om[l] >= prev
-            assert om[l] - prev <= sizes[l]
-            prev = om[l]
-        # last entry is the size of the union of all sets
-        union = set()
-        for s in f.prime_sets:
-            union.update(s)
-        assert om[-1] == len(union)
 
 
 def test_factorial_divides_product_of_window(table_1e4):
