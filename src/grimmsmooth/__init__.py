@@ -32,7 +32,6 @@ from .intervals import (
     IntervalFactorization,
     factor_interval,
     factor_range,
-    is_smooth,
 )
 from .primes import (
     DusartReport,
@@ -108,7 +107,6 @@ __all__ = [
     "gap_scan",
     "grimm_upper_bound",
     "has_representation",
-    "is_smooth",
     "phi",
     "phi_sum",
     "pi_window_terms",

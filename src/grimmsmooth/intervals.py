@@ -5,20 +5,29 @@ the bipartite graph "window offset <-> primes dividing it", which is what
 both the matching decision (does the window admit distinct prime
 representatives?) and the smoothness counts consume.
 
-The method is one strided prime-power sieve (:func:`_sieve`).  For every
-prime p up to the bound and every power q = p^j <= hi it multiplies the
-strided view ``smooth[(-lo) % q :: q]`` of the block's smooth parts by p, so
-each element ends up multiplied by p once per power of p dividing it: its
-p-part.  One integer division ``values // smooth`` then leaves the residual
-cofactor, with no gather/scatter of index arrays and no ``% p`` loop.  When
-the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it has no
-factor <= sqrt(hi) left) and is the element's largest prime factor; callers
-that need the largest prime factor below the bound also store ``p`` into the
-strided view ``lpf[(-lo) % p :: p]`` in ascending p, so the largest dividing
-prime is the one left standing.  Multiplicities are deliberately discarded --
-only the set of distinct primes per element is kept.  Windows of at most
-``_SMALL_BLOCK`` (factoring) or ``_SMALL_WINDOW`` (residuals) elements take
-plain Python loops instead, which beat the numpy calls there.
+The method is one prime-power sieve (:func:`_sieve`) that splits the
+sieving primes by how often they hit the block of ``count`` values.  A dense
+prime p <= count // ``_DENSE_HITS`` gets strided views: for every power
+q = p^j <= hi it multiplies ``smooth[(-lo) % q :: q]`` by p, so each element
+picks up its p-part, and it stores ``p`` into ``lpf[(-lo) % p :: p]`` in
+ascending p, so the largest dividing prime is the one left standing; one
+integer division ``values // smooth`` then leaves the residual cofactor.
+A sparse prime hits at most about ``_DENSE_HITS`` elements, where a numpy
+call per prime and per power would cost more than it sieves, so all sparse
+primes share one hit list of (row, prime) pairs built with ``np.repeat``
+arithmetic (:func:`_hits`).  It feeds one ``np.maximum.at`` for the lpf
+stores (every sparse prime exceeds every dense one) and
+``np.floor_divide.at`` on the residual, repeated on the hits whose residual
+is still divisible, one pass per power.  :func:`_factor_block` builds its
+CSR rows from the same split.  A block with no sparse prime takes the
+strided views alone, as every full block of psi (2^20 values, primes to
+1e4) and of verify (2^21 values below 2^31) does.
+When the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it
+has no factor <= sqrt(hi) left) and is the element's largest prime factor.
+Multiplicities are deliberately discarded -- only the set of distinct
+primes per element is kept.  Windows of at most ``_SMALL_BLOCK``
+(factoring) or ``_SMALL_WINDOW`` (residuals) elements take plain Python
+loops instead, which beat the numpy calls there.
 
 Rows are stored CSR-style (``offsets`` into one flat int64 array) so that a
 window of a million elements stays a handful of numpy arrays, and a run of
@@ -27,6 +36,7 @@ consecutive windows can be factored once as a block and sliced.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
@@ -34,7 +44,7 @@ import numpy as np
 
 from .primes import PrimeTable, TableLimitError
 
-# Per-call window cap; longer scans must go through chunked drivers.
+# Longest window factor_interval accepts in one call.
 MAX_WINDOW = 10**6
 
 
@@ -80,6 +90,12 @@ def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
 # Below this many elements, plain Python loops beat numpy call overhead.
 _SMALL_BLOCK = 512
 
+# A prime p > count // _DENSE_HITS hits a block of count values at most
+# about _DENSE_HITS times; such sparse primes share one hit list.  Measured
+# per-call times fall as this grows to about 64; 45 is the largest value
+# that keeps every prime to sqrt(2^31) dense in a 2^21-value block.
+_DENSE_HITS = 45
+
 
 def _factor_block_small(lo: int, hi: int, plist: list[int]):
     """Python-loop variant of :func:`_factor_block` for short windows."""
@@ -109,19 +125,41 @@ def _factor_block_small(lo: int, hi: int, plist: list[int]):
     return offsets, flat, lpf
 
 
-def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
-    """Strided prime-power sieve of the values lo..hi (lo >= 1).
+def _n_dense(count: int, primes: list[int]) -> int:
+    """How many of the ascending ``primes`` sieve a block of ``count`` values
+    with strided views: those p <= count // _DENSE_HITS."""
+    return bisect_right(primes, count // _DENSE_HITS)
 
-    Returns ``(residual, lpf)``: ``residual[i]`` is lo+i with every prime of
-    ``primes`` divided out to full multiplicity.  With ``with_lpf``, which
-    needs ``primes`` to be all primes <= sqrt(hi), ``lpf[i]`` is the largest
-    prime factor of lo+i (1 for the unit); otherwise ``lpf`` is None and the
-    smooth counts skip those stores.
+
+def _hits(lo: int, count: int, primes: list[int]):
+    """``(rows, ps)``: every multiple lo+rows[t] of ps[t] in the block of
+    ``count`` values from lo, for each of ``primes``, grouped by prime in the
+    given order and ascending within a prime."""
+    ps = np.array(primes, dtype=np.int64)
+    first = -lo % ps
+    nhit = (count - 1 - first) // ps + 1  # >= 0, since first < p
+    start = np.cumsum(nhit) - nhit
+    rep = np.repeat(ps, nhit)
+    rows = np.repeat(first - start * ps, nhit) + np.arange(len(rep)) * rep
+    return rows, rep
+
+
+def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
+    """Prime-power sieve of the values lo..hi (lo >= 1).
+
+    Returns ``(residual, lpf, hits)``: ``residual[i]`` is lo+i with every
+    prime of ``primes`` (ascending) divided out to full multiplicity.  With
+    ``with_lpf``, which needs ``primes`` to be all primes <= sqrt(hi),
+    ``lpf[i]`` is the largest prime factor of lo+i (1 for the unit);
+    otherwise ``lpf`` is None and the smooth counts skip those stores.
+    ``hits`` is the :func:`_hits` list of the sparse primes, or None when
+    every prime is dense.
     """
     count = hi - lo + 1
+    dense = _n_dense(count, primes)
     smooth = np.ones(count, dtype=np.int64)
     lpf = np.ones(count, dtype=np.int64) if with_lpf else None
-    for p in primes:
+    for p in primes[:dense]:
         if with_lpf:
             lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
         q = p
@@ -129,10 +167,19 @@ def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
             smooth[-lo % q :: q] *= p
             q *= p
     residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
+    hits = None
+    if dense < len(primes):
+        hits = rows, ps = _hits(lo, count, primes[dense:])
+        if with_lpf:
+            np.maximum.at(lpf, rows, ps)  # every sparse p exceeds every dense one
+        while len(rows):  # one pass per power: p, p^2, p^3, ...
+            np.floor_divide.at(residual, rows, ps)
+            more = residual[rows] % ps == 0
+            rows, ps = rows[more], ps[more]
     if with_lpf:
         # a residual above 1 is the one prime factor above sqrt(hi)
         np.copyto(lpf, residual, where=residual > 1)
-    return residual, lpf
+    return residual, lpf, hits
 
 
 def _factor_block(lo: int, hi: int, plist: list[int]):
@@ -140,19 +187,30 @@ def _factor_block(lo: int, hi: int, plist: list[int]):
     count = hi - lo + 1
     if count <= _SMALL_BLOCK:
         return _factor_block_small(lo, hi, plist)
-    residual, lpf = _sieve(lo, hi, plist, with_lpf=True)
+    residual, lpf, hits = _sieve(lo, hi, plist, with_lpf=True)
+    dense = plist[: _n_dense(count, plist)]
     has_res = residual > 1
     nfac = has_res.astype(np.int64)
-    for p in plist:
+    for p in dense:
         nfac[-lo % p :: p] += 1
+    if hits is not None:
+        sparse_n = np.bincount(hits[0], minlength=count)
+        nfac += sparse_n
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(nfac, out=offsets[1:])
     flat = np.empty(int(offsets[-1]), dtype=np.int64)
     fill = offsets[:-1].copy()
-    for p in plist:
+    for p in dense:
         row_fill = fill[-lo % p :: p]
         flat[row_fill] = p
         row_fill += 1
+    if hits is not None:
+        # a stable sort by row keeps each row's sparse primes ascending
+        order = np.argsort(hits[0], kind="stable")
+        by_row = hits[0][order]
+        rank = np.arange(len(by_row)) - np.searchsorted(by_row, by_row)
+        flat[fill[by_row] + rank] = hits[1][order]
+        fill += sparse_n
     rows = np.flatnonzero(has_res)
     flat[fill[rows]] = residual[rows]
     return offsets, flat, lpf
@@ -188,13 +246,6 @@ def factor_interval(n: int, k: int, table: PrimeTable) -> IntervalFactorization:
     return IntervalFactorization(
         n=n, k=k, offsets=offsets, primes_flat=flat, largest_prime_factor=lpf
     )
-
-
-def is_smooth(f: IntervalFactorization, offset: int, y: float) -> bool:
-    """True iff every prime factor of n+offset is <= y."""
-    if not 1 <= offset <= f.k:
-        raise ValueError(f"offset must be in [1, {f.k}], got {offset}")
-    return bool(f.largest_prime_factor[offset - 1] <= y)
 
 
 # ---------------------------------------------------------------------------

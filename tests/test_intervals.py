@@ -9,9 +9,9 @@ from grimmsmooth import (
     TableLimitError,
     factor_interval,
     factor_range,
-    is_smooth,
 )
-from grimmsmooth.intervals import window_residuals
+from grimmsmooth import intervals
+from grimmsmooth.intervals import lpf_range, window_residuals
 from oracles import (
     distinct_primes,
     largest_prime_factor,
@@ -20,12 +20,17 @@ from oracles import (
 )
 
 # Prime powers the drawn windows reach: high powers of 2 and 3, where
-# multiplicities run high, and prime squares p^2, whose p is the largest
-# sieving prime when the window ends at p^2.
+# multiplicities run high; prime squares p^2, whose p is the largest
+# sieving prime when the window ends at p^2; and cubes and fourth powers
+# of primes above 75, which hit a window of at most 1100 values a few
+# times at most, so the sieve divides them out one power per pass.  All
+# stay below 1e8, within reach of a table to 1e4.
 PRIME_POWERS = sorted(
     {2**j for j in range(1, 21)}
     | {3**j for j in range(1, 13)}
     | {p * p for p in trial_primes(1000)}
+    | {p**3 for p in trial_primes(464) if p > 75}
+    | {p**4 for p in trial_primes(100) if p > 75}
 )
 
 
@@ -105,17 +110,6 @@ def test_factorial_divides_product_of_window(table_1e4):
             assert have.get(p, 0) >= e, (n, k, p)
 
 
-def test_is_smooth(table_1e4):
-    f = factor_interval(10**6 - 1, 2, table_1e4)
-    assert is_smooth(f, 1, 5)  # 10^6 = 2^6 5^6
-    assert not is_smooth(f, 2, 9900)  # 10^6+1 = 101 * 9901
-    assert is_smooth(f, 2, 9901)
-    f = factor_interval(10, 1, table_1e4)
-    assert not is_smooth(f, 1, 10)  # 11 is prime
-    f = factor_interval(1, 1, table_1e4)
-    assert is_smooth(f, 1, 2)
-
-
 def test_validation_errors(table_1e4):
     with pytest.raises(ValueError):
         factor_interval(0, 1, table_1e4)
@@ -160,6 +154,34 @@ def test_window_residuals_semantics(table_1e4):
     assert window_residuals(1, 1, 10, table_1e4).tolist() == [1]
 
 
+@pytest.mark.parametrize("dense_hits", [1, 45, 10**9])
+def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
+    # strided views only, the default split, and the hit list only give the
+    # same CSR rows, lpf and residuals as the Python paths
+    monkeypatch.setattr(intervals, "_DENSE_HITS", dense_hits)
+    for lo, hi in [
+        (1, 2000),
+        (10**6 - 700, 10**6 + 700),
+        (97**4 - 600, 97**4 + 600),
+        (2**20 - 1000, 2**20 + 24),
+    ]:
+        plist = table_1e4.prime_list(isqrt(hi))
+        want = intervals._factor_block_small(lo, hi, plist)
+        got = factor_range(lo, hi, table_1e4)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist(), (lo, hi)
+        assert lpf_range(lo, hi, table_1e4).tolist() == want[2].tolist()
+        offs, flat = want[0].tolist(), want[1].tolist()
+        for bound in (7, 60, 10**4):
+            cut, res = min(bound, isqrt(hi)), []
+            for i, v in enumerate(range(lo, hi + 1)):
+                for p in flat[offs[i] : offs[i + 1]]:
+                    while p <= cut and v % p == 0:
+                        v //= p
+                res.append(v)
+            assert window_residuals(lo, hi, bound, table_1e4).tolist() == res
+
+
 @settings(max_examples=100, deadline=None)
 @given(windows())
 @example((2**20 - 600, 2**20))  # hi = p^j on the numpy path
@@ -168,10 +190,12 @@ def test_factor_range_matches_trial_division_property(table_1e4, window):
     lo, hi = window
     offsets, flat, lpf = factor_range(lo, hi, table_1e4)
     offs, fl = offsets.tolist(), flat.tolist()
+    window_lpf = lpf_range(lo, hi, table_1e4).tolist()
     for i, v in enumerate(range(lo, hi + 1)):
         fac = trial_factorization(v)
         assert fl[offs[i] : offs[i + 1]] == sorted(fac), v
         assert lpf[i] == max(fac, default=1), v
+        assert window_lpf[i] == max(fac, default=1), v
 
 
 @settings(max_examples=100, deadline=None)
