@@ -14,7 +14,7 @@ from grimmsmooth import (
     scaled_intervals_disjoint,
 )
 
-table = build_table(100_010_000)
+table = build_table(10_001)  # primes to sqrt(x + W) for the sums at x <= 1e8
 
 print("S(x, 1/3) against the heuristic -log(2/3) = 0.405465:")
 print(" x        S     S/x^a    excess")

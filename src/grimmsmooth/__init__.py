@@ -59,7 +59,6 @@ from .sums import (
     floor_decomposition,
     phi,
     phi_sum,
-    pi_window_terms,
     r_d,
     ram_sum,
     remainder_exponent_ok,
@@ -109,7 +108,6 @@ __all__ = [
     "has_representation",
     "phi",
     "phi_sum",
-    "pi_window_terms",
     "psi",
     "psi_window",
     "r_d",

@@ -438,7 +438,7 @@ def _h_exceptional_scan(args):
 
 def _h_ram_sum(args):
     w = window_exponent_floor(args.x, args.alpha)
-    table = _get_table(args.x + w, args)
+    table = _get_table(isqrt(args.x + w) + 1, args)
     res = ram_sum(args.x, args.alpha, table, delta_target=args.delta_target)
     return (
         [
@@ -533,6 +533,7 @@ def _positive(cast):
 
 
 _finite_float = _checked(float, math.isfinite, "finite")
+_ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -605,8 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=_positive(int), default=1)
 
     p = add("ram-sum", _h_ram_sum, help="scaled prime-counting sum S(x, alpha)")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--x", type=_positive(int), required=True)
+    p.add_argument("--alpha", type=_ram_alpha, required=True)
     p.add_argument("--delta-target", type=float, default=None)
 
     p = add("rd", _h_rd, help="floor-difference sum R_d")

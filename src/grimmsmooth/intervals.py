@@ -88,7 +88,9 @@ def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
 
 
 # Below this many elements, plain Python loops beat numpy call overhead.
-_SMALL_BLOCK = 512
+# Measured crossover: about 64-128 values near 1e4, 32-64 near 1e6; near
+# 1e8 the sieve is faster from 16 values on.
+_SMALL_BLOCK = 64
 
 # A prime p > count // _DENSE_HITS hits a block of count values at most
 # about _DENSE_HITS times; such sparse primes share one hit list.  Measured

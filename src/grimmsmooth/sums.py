@@ -13,9 +13,23 @@ Exactness.  For integer x, every term is an exact integer: with
 W = floor(x^a) one has floor((x + x^a)/j) = floor((x + W)/j), because the
 fractional part of x^a can never push (x + W + frac)/j past the next
 multiple of j (the remainder of x + W mod j is at most j - 1).  So the sum
-depends on x^a only through W, and everything is evaluated in integer
-arithmetic against the exact prime table; floating point enters only in the
-normalized/heuristic report fields.
+depends on x^a only through W, and it is evaluated in integer arithmetic;
+floating point enters only in W and in the normalized/heuristic report
+fields.
+
+Evaluation.  Each pair (j, q) that S counts is one m = jq in the window
+(x, x + W], with q a prime divisor of m and m/q = j <= W.  When W^2 <= x,
+q = m/j > x/W >= W >= j, so q^2 > m: q is the one prime factor of m above
+sqrt(m), its largest prime factor lpf(m).  Hence
+
+    S(x, a) = #{m in (x, x + W] : m // lpf(m) <= W},
+
+and :func:`ram_sum` reads the largest prime factors of the W window values
+from the block sieve (:func:`~grimmsmooth.intervals.lpf_range`), so its
+table needs primes only to sqrt(x + W).  Two counted pairs for one m, or a
+counted q below lpf(m), would need some m <= W(W - 1) in the window, so the
+identity holds whenever x >= W(W - 1); the float W = floor(x^a) keeps that
+for a <= 1/2 even where it rounds up to isqrt(x) + 1.
 
 The companions are the two probe quantities appearing in remainder
 analyses of such sums: the floor-difference sums R_d over n in [R, S]
@@ -32,7 +46,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import PrimeTable, TableLimitError
+from .intervals import lpf_range
+from .primes import PrimeTable
+
+# Values sieved at once, as verify's blocks: memory stays flat for any W.
+_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -51,27 +69,14 @@ def window_exponent_floor(x: int, alpha: float) -> int:
     return max(1, int(math.floor(float(x) ** alpha)))
 
 
-def pi_window_terms(x: int, w: int, j_max: int, table: PrimeTable) -> np.ndarray:
-    """Exact terms pi((x+w)//j) - pi(x//j) for j = 1..j_max."""
-    top = x + w
-    if table.limit < top:
-        raise TableLimitError(
-            f"sum at x={x} needs table limit >= {top}, have {table.limit}",
-            required=top,
-        )
-    js = np.arange(1, j_max + 1, dtype=np.int64)
-    upper = table.pi_bulk(top // js)
-    lower = table.pi_bulk(x // js)
-    return upper - lower
-
-
 def ram_sum(
     x: int,
     alpha: float,
     table: PrimeTable,
     delta_target: float | None = None,
 ) -> RamSumResult:
-    """S(x, alpha) with exact integer terms; see module docstring.
+    """S(x, alpha), exactly, as #{m in (x, x + W] : m // lpf(m) <= W}; see
+    the module docstring.  ``table`` must reach sqrt(x + W).
 
     alpha may sit on the boundary 1/2 (useful for degenerate checks); the
     disjointness of the scaled windows only holds strictly below it.
@@ -82,7 +87,12 @@ def ram_sum(
     if not 0 < alpha <= 0.5:
         raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
     w = window_exponent_floor(x, alpha)
-    total = int(pi_window_terms(x, w, w, table).sum())
+    total = 0
+    for lo in range(x + 1, x + w + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, x + w)
+        m = np.arange(lo, hi + 1, dtype=np.int64)
+        # exact, since lpf divides m; lpf * w could overflow int64
+        total += int(np.count_nonzero(m // lpf_range(lo, hi, table) <= w))
     xa = float(x) ** alpha
     return RamSumResult(
         x=x,

@@ -22,12 +22,3 @@ def table_1e5():
 def table_1e6():
     return build_table(1_000_000)
 
-
-@pytest.fixture(scope="session")
-def table_big():
-    """Shared large table for the range-scale checks (builds in ~1 s).
-
-    Large enough for sums at x = 1e8 (needs x + x^0.4833) and for the
-    1e7-range verification scans.
-    """
-    return build_table(100_010_000)

@@ -6,7 +6,9 @@ backtracking, direct recursion.  None of it shares code with the package.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import floor, gcd, isqrt
+
+import numpy as np
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -134,6 +136,69 @@ def ram_sum_double_loop(x: int, alpha: float, primes: list[int]) -> int:
         total += sum(1 for p in primes if lo < p <= hi)
         j += 1
     return total
+
+
+def prime_pi_array(limit: int) -> np.ndarray:
+    """pi(v) for v = 0..limit, from a plain sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[: min(2, limit + 1)] = bytes(min(2, limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return np.cumsum(np.frombuffer(sieve, dtype=np.uint8), dtype=np.int64)
+
+
+def pi_window_terms(x: int, w: int, j_max: int, pi: np.ndarray) -> np.ndarray:
+    """Terms pi((x+w)//j) - pi(x//j) for j = 1..j_max, looked up in a
+    ``pi`` array (:func:`prime_pi_array`) that reaches x + w."""
+    js = np.arange(1, j_max + 1, dtype=np.int64)
+    return pi[(x + w) // js] - pi[x // js]
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRODUCT = 7420738134810  # the product of _MR_BASES
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: exact below 3.1e23 with all twelve bases,
+    below 3.4e14 with the first seven and below 2.1e12 with the first five
+    (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86
+    (2017))."""
+    if n < 38:
+        return n in _MR_BASES
+    if gcd(n, _MR_PRODUCT) != 1:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    if n < 2_152_302_898_747:
+        bases = _MR_BASES[:5]
+    elif n < 341_550_071_728_321:
+        bases = _MR_BASES[:7]
+    else:
+        bases = _MR_BASES
+    for a in bases:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def ram_sum_miller_rabin(x: int, alpha: float) -> int:
+    """S(x, alpha) = sum_{j <= W} #{primes q : x < jq <= x + W} by testing
+    every candidate q, with W = floor(x^alpha) as the program computes it."""
+    w = max(1, floor(float(x) ** alpha))
+    return sum(
+        is_prime(q)
+        for j in range(1, w + 1)
+        for q in range(x // j + 1, (x + w) // j + 1)
+    )
 
 
 def exceptional_scan_reference(

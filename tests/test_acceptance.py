@@ -168,10 +168,10 @@ def test_criterion_07_window_counts_three_decades(table_1e5):
     )
 
 
-def test_criterion_08_window_density_1e8(table_big):
+def test_criterion_08_window_density_1e8(table_1e4):
     lam = 1 / 30
     alpha = (1 - lam) / 2
-    res = ram_sum(10**8, alpha, table_big, delta_target=0.25 + lam / 2)
+    res = ram_sum(10**8, alpha, table_1e4, delta_target=0.25 + lam / 2)
     floor_target = 0.2667 - 0.05
     ok = res.normalized >= floor_target and res.sum == 5076
     _report(
@@ -182,8 +182,8 @@ def test_criterion_08_window_density_1e8(table_big):
     )
 
 
-def test_criterion_09_heuristic_1e8(table_big):
-    res = ram_sum(10**8, 1 / 3, table_big)
+def test_criterion_09_heuristic_1e8(table_1e4):
+    res = ram_sum(10**8, 1 / 3, table_1e4)
     target = 0.405465
     rel = abs(res.normalized - target) / target
     ok = rel <= 0.10 and res.sum == 198

@@ -3,6 +3,7 @@ import json
 
 import grimmsmooth
 from grimmsmooth.cli import replay_manifest, run
+from oracles import ram_sum_miller_rabin
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -176,6 +177,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
         (["psi", "--x", "10", "--y", "inf"], "--y"),
+        (["ram-sum", "--x", "-5", "--alpha", "0.4"], "--x"),
+        (["ram-sum", "--x", "0", "--alpha", "0.4"], "--x"),
+        (["ram-sum", "--x", "100", "--alpha", "nan"], "--alpha"),
+        (["ram-sum", "--x", "100", "--alpha", "0.6"], "--alpha"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
@@ -188,6 +193,26 @@ def test_table_limit_too_small_is_resource_error(tmp_path):
         ["verify-grimm", "--limit", "10000", "--table-limit", "100"], tmp_path
     )
     assert code == 2
+
+
+def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):
+    # x = 1e8, alpha = 1/3: W = 464 and isqrt(x + W) + 1 = 10,001
+    monkeypatch.setattr(grimmsmooth.cli, "_table_cache", None)  # as a fresh process
+    argv = ["ram-sum", "--x", "100000000", "--alpha", str(1 / 3)]
+    mpath = tmp_path / "rs.manifest.json"
+    code, out = invoke(argv, tmp_path, manifest=mpath)
+    assert (code, out.splitlines()[1].split(",")[2]) == (0, "198")
+    data = json.loads(mpath.read_text())
+    assert data["table_limit"] == 10_001
+    assert replay_manifest(str(mpath))[1] == data["result_digest"]
+    assert invoke(argv + ["--table-limit", "10001"], tmp_path) == (code, out)
+    assert invoke(argv + ["--table-limit", "10000"], tmp_path)[0] == 2
+
+
+def test_ram_sum_past_2_31(tmp_path):
+    code, out = invoke(["ram-sum", "--x", "1000000000000", "--alpha", "0.4"], tmp_path)
+    assert code == 0
+    assert int(out.splitlines()[1].split(",")[2]) == ram_sum_miller_rabin(10**12, 0.4)
 
 
 def test_workers_do_not_change_bytes(tmp_path):

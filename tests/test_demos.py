@@ -21,3 +21,14 @@ def test_demo_exits_zero(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(compile(code, "README.md quickstart", "exec"), ns)
+    assert ns["table"].limit == 10_000_000
+    res = ns["ram_sum"](10**8, 1 / 3, ns["table"])
+    assert abs(res.normalized - 0.4266) < 5e-5

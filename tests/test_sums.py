@@ -1,24 +1,37 @@
 import math
+from math import isqrt
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grimmsmooth import (
+    build_table,
     floor_decomposition,
     phi,
     phi_sum,
-    pi_window_terms,
     r_d,
     ram_sum,
     remainder_exponent_ok,
     scaled_intervals_disjoint,
     window_exponent_floor,
 )
+from grimmsmooth import sums
 from grimmsmooth.primes import TableLimitError
-from oracles import ram_sum_double_loop, trial_primes
+from oracles import (
+    pi_window_terms, prime_pi_array, ram_sum_double_loop, ram_sum_miller_rabin, trial_primes,
+)
 
 PRIMES = trial_primes(1200)
+PI = prime_pi_array(3_000_000 + isqrt(3_000_000) + 1)  # pi to x + W for x <= 3e6
+
+
+def pi_oracle_sum(x: int, alpha: float) -> int:
+    """S(x, alpha) as the sum of the exact pi terms, W as the program takes it."""
+    w = max(1, math.floor(float(x) ** alpha))
+    return int(pi_window_terms(x, w, w, PI).sum())
 
 
 def test_ram_sum_against_double_loop(table_1e4):
@@ -49,7 +62,7 @@ def test_ram_sum_validation(table_1e4):
     with pytest.raises(ValueError):
         ram_sum(100, 0.51, table_1e4)
     with pytest.raises(TableLimitError):
-        ram_sum(10**7, 0.4, table_1e4)
+        ram_sum(10**9, 0.4, table_1e4)  # needs primes to isqrt(10**9 + 3981) = 31,623
 
 
 def test_ram_sum_fields(table_1e4):
@@ -75,11 +88,47 @@ def test_j_range_monotonicity(table_1e4):
     # same window, shorter j range: the sum can only shrink
     x = 900
     w = window_exponent_floor(x, 0.45)
-    terms = pi_window_terms(x, w, w, table_1e4)
+    terms = pi_window_terms(x, w, w, PI)
     assert np.all(terms >= 0)
     for j_max in range(1, w + 1):
-        part = int(pi_window_terms(x, w, j_max, table_1e4).sum())
+        part = int(pi_window_terms(x, w, j_max, PI).sum())
         assert part <= int(terms.sum())
+
+
+def test_ram_sum_matches_pi_terms(table_1e4):
+    # every x < 400 at four alphas, and x = k^2 - 1, k^2 at alpha = 1/2,
+    # where W = k - 1 and k, the largest W with W^2 <= x
+    for x in range(1, 400):
+        for alpha in (0.2, 1 / 3, 0.45, 0.5):
+            assert ram_sum(x, alpha, table_1e4).sum == pi_oracle_sum(x, alpha), (x, alpha)
+    for k in range(2, isqrt(3_000_000) + 1):
+        for x in (k * k - 1, k * k):
+            assert ram_sum(x, 0.5, table_1e4).sum == pi_oracle_sum(x, 0.5), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3_000_000), st.floats(0, 0.5, exclude_min=True))
+@example(1, 0.5)
+@example(3_000_000, 0.5)
+def test_ram_sum_matches_pi_terms_property(table_1e4, x, alpha):
+    assert ram_sum(x, alpha, table_1e4).sum == pi_oracle_sum(x, alpha)
+
+
+def test_ram_sum_blocks_split_the_window(table_1e4, monkeypatch):
+    for block in (1, 2, 7, 64):
+        monkeypatch.setattr(sums, "_BLOCK", block)
+        for x in (1, 100, 5000, 999_999, 3_000_000):
+            for alpha in (0.45, 0.5):
+                assert ram_sum(x, alpha, table_1e4).sum == pi_oracle_sum(x, alpha)
+
+
+def test_ram_sum_past_the_int64_product():
+    # x * W = 1.1e19 > 2^63: the test lpf * W >= m would overflow here
+    x, alpha = 10**15, 0.27
+    w = window_exponent_floor(x, alpha)
+    assert x * w > 2**63
+    res = ram_sum(x, alpha, build_table(isqrt(x + w) + 1))
+    assert res.sum == ram_sum_miller_rabin(x, alpha)
 
 
 def test_r_d_examples(table_1e4):
@@ -191,11 +240,11 @@ def test_remainder_exponent_check():
     assert not remainder_exponent_ok(0.4, 0.4)
 
 
-def test_window_density_across_decades(table_big):
+def test_window_density_across_decades(table_1e4):
     # normalized S stays above 1/4 + lambda/2 - 0.05 at x = 1e6, 1e7, 1e8
     lam = 1 / 30
     alpha = (1 - lam) / 2
     floor_target = 0.25 + lam / 2 - 0.05
     for e in (6, 7, 8):
-        res = ram_sum(10**e, alpha, table_big)
+        res = ram_sum(10**e, alpha, table_1e4)
         assert res.normalized >= floor_target, (e, res.normalized)
