@@ -12,7 +12,6 @@ from grimmsmooth import (
     g,
     g1,
     has_representation,
-    verify_grimm,
     verify_grimm_summary,
 )
 
@@ -40,12 +39,16 @@ print("\ng(2^m) vs 2^m:")
 for m in range(4, 11):
     print(f"  m={m:<2} g={g(2**m, table):>4}  2^m={2**m}")
 
-# every composite run between consecutive primes is representable; stream a
-# few reports, then verify a whole range at once
+# every composite run between consecutive primes is representable: the
+# first few with their certificates, then a whole range at once
 print("\nfirst composite runs:")
-for rep in list(verify_grimm(50, table)):
-    status = "ok" if rep.result.representable else "FAIL"
-    print(f"  after p={rep.p:<3} run of {rep.k}: {status}")
+ps = table.primes_in(2, 50).tolist()
+for p, q in zip(ps, ps[1:]):
+    if q - p > 1:
+        res = has_representation(p, q - p - 1, table)
+        cert = res.assignment if res.representable else sorted(res.hall_witness)
+        status = "ok" if res.representable else "FAIL"
+        print(f"  after p={p:<3} run of {q - p - 1}: {status} {cert}")
 
 s = verify_grimm_summary(1_000_000, table)
 print(f"\nall runs below 1e6: {s.runs:,} runs, {len(s.failures)} failures, "

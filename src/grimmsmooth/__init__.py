@@ -25,13 +25,7 @@ from .grimm import (
     g,
     g1,
     has_representation,
-    verify_grimm,
     verify_grimm_summary,
-)
-from .intervals import (
-    IntervalFactorization,
-    factor_interval,
-    factor_range,
 )
 from .primes import (
     DusartReport,
@@ -43,7 +37,6 @@ from .primes import (
     check_dusart,
     check_stirling_factorial,
     gap_check,
-    gap_scan,
 )
 from .smooth import (
     ExceptionalScanReport,
@@ -77,7 +70,6 @@ __all__ = [
     "GapScanSummary",
     "GrimmRunReport",
     "GrimmUpperBound",
-    "IntervalFactorization",
     "PrimeTable",
     "RamSumResult",
     "RepresentationResult",
@@ -96,14 +88,11 @@ __all__ = [
     "delta_of_lambda",
     "exceptional_scan",
     "exponent_report",
-    "factor_interval",
-    "factor_range",
     "floor_decomposition",
     "g",
     "g1",
     "gamma_theorem4",
     "gap_check",
-    "gap_scan",
     "grimm_upper_bound",
     "has_representation",
     "phi",
@@ -115,7 +104,6 @@ __all__ = [
     "remainder_exponent_ok",
     "rho",
     "scaled_intervals_disjoint",
-    "verify_grimm",
     "verify_grimm_summary",
     "window_exponent_floor",
 ]

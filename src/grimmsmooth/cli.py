@@ -82,6 +82,10 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 
 def _get_table(required: int, args) -> PrimeTable:
+    """A prime table to ``limit``: ``required``, raised by the environment
+    floor or replaced by ``--table-limit``.  The manifest records that limit
+    (``args.table_limit_used``); the table returned may be a larger one
+    cached by an earlier call in the same process."""
     global _table_cache
     limit = max(2, int(required))
     if args.table_floor is not None:
@@ -93,6 +97,7 @@ def _get_table(required: int, args) -> PrimeTable:
                 required=required,
             )
         limit = args.table_limit
+    args.table_limit_used = limit
     if _table_cache is not None and _table_cache.limit >= limit:
         return _table_cache
     _table_cache = PrimeTable(limit)
@@ -114,6 +119,7 @@ def _resolve_env(args) -> None:
     workers = args.workers if args.workers is not None else _env_int(ENV_WORKERS)
     args.worker_count = (os.cpu_count() or 1) if workers is None else max(1, workers)
     args.table_floor = _env_int(ENV_TABLE_LIMIT)
+    args.table_limit_used = None
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +233,18 @@ def _scan_shard(payload, table):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (rows, exit_flag, table_limit or None)
+# subcommand handlers: each returns (rows, exit_flag)
 # ---------------------------------------------------------------------------
 
 
 def _h_g(args):
     table = _get_table(search_table_limit(args.n), args)
-    return [{"n": args.n, "g": g(args.n, table)}], 0, table.limit
+    return [{"n": args.n, "g": g(args.n, table)}], 0
 
 
 def _h_g1(args):
     table = _get_table(search_table_limit(args.n), args)
-    return [{"n": args.n, "g1": g1(args.n, table)}], 0, table.limit
+    return [{"n": args.n, "g1": g1(args.n, table)}], 0
 
 
 def _h_represent(args):
@@ -250,11 +256,7 @@ def _h_represent(args):
     else:
         cert = ";".join(str(i) for i in sorted(res.hall_witness))
         status = "not_representable"
-    return (
-        [{"n": args.n, "k": args.k, "status": status, "certificate": cert}],
-        0,
-        table.limit,
-    )
+    return [{"n": args.n, "k": args.k, "status": status, "certificate": cert}], 0
 
 
 def _h_verify_grimm(args):
@@ -304,7 +306,7 @@ def _h_verify_grimm(args):
         ]
     for row in failures:
         print(f"NOT REPRESENTABLE: {row}", file=sys.stderr)
-    return rows, (1 if failures else 0), table.limit
+    return rows, (1 if failures else 0)
 
 
 def _h_gap_scan(args):
@@ -334,7 +336,7 @@ def _h_gap_scan(args):
             "max_gap_p": max_gap_p,
         }
     ]
-    return rows, (1 if violations else 0), table.limit
+    return rows, (1 if violations else 0)
 
 
 def _h_dusart(args):
@@ -356,23 +358,19 @@ def _h_dusart(args):
             "min_slack": rep.theta_min_slack,
         },
     ]
-    return rows, (0 if rep.ok else 1), table.limit
+    return rows, (0 if rep.ok else 1)
 
 
 def _h_psi(args):
     required = min(int(args.y), isqrt(args.x)) if args.x else 2
     table = _get_table(required, args)
-    return (
-        [{"x": args.x, "y": args.y, "psi": psi(args.x, args.y, table)}],
-        0,
-        table.limit,
-    )
+    return [{"x": args.x, "y": args.y, "psi": psi(args.x, args.y, table)}], 0
 
 
 def _h_psi_window(args):
     table = _get_table(max(isqrt(args.x + args.z), int(args.y)), args)
     rep = psi_window(args.x, args.z, args.y, table)
-    return [asdict(rep)], 0, table.limit
+    return [asdict(rep)], 0
 
 
 def _h_grimm_bound(args):
@@ -389,7 +387,7 @@ def _h_grimm_bound(args):
         "first_smooth": b.first_smooth if b else None,
         "last_smooth": b.last_smooth if b else None,
     }
-    return [row], 0, table.limit
+    return [row], 0
 
 
 def _h_rho(args):
@@ -408,7 +406,7 @@ def _h_rho(args):
         if args.t is None:
             raise ValueError("provide --t for a point value or --dump for the grid")
         rows = [{"t": args.t, "rho": rho(args.t, table)}]
-    return rows, 0, None
+    return rows, 0
 
 
 def _h_exceptional_scan(args):
@@ -433,7 +431,7 @@ def _h_exceptional_scan(args):
         first_failures=tuple(first),
     )
     row = asdict(rep) | {"first_failures": ";".join(map(str, first))}
-    return [row], 0, table.limit
+    return [row], 0
 
 
 def _h_ram_sum(args):
@@ -452,7 +450,6 @@ def _h_ram_sum(args):
             }
         ],
         0,
-        table.limit,
     )
 
 
@@ -470,17 +467,12 @@ def _h_rd(args):
             }
         ],
         0,
-        None,
     )
 
 
 def _h_phi_sum(args):
     val = phi_sum(args.v, args.v1, args.eta)
-    return (
-        [{"V": args.v, "V1": args.v1, "eta": args.eta, "phi_sum": val}],
-        0,
-        None,
-    )
+    return [{"V": args.v, "V1": args.v1, "eta": args.eta, "phi_sum": val}], 0
 
 
 def _exponent_row(lam: float, eps_prime: float) -> dict:
@@ -506,7 +498,7 @@ def _h_exponents(args):
         if args.lam is None:
             raise ValueError("provide --lambda or --grid N")
         rows = [_exponent_row(args.lam, args.eps_prime)]
-    return rows, 0, None
+    return rows, 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-target", type=float, default=None)
 
     p = add("rd", _h_rd, help="floor-difference sum R_d")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--x", type=_positive(int), required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -630,7 +622,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NON_PARAM_KEYS = {"handler", "subcommand", "manifest", "worker_count", "table_floor"}
+_NON_PARAM_KEYS = {
+    "handler", "subcommand", "manifest", "worker_count", "table_floor",
+    "table_limit_used",
+}
 
 
 def _manifest_params(args) -> dict:
@@ -667,7 +662,7 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
     buf = io.StringIO()
     try:
         _resolve_env(args)
-        rows, flag, table_limit = args.handler(args)
+        rows, flag = args.handler(args)
         _emit(rows, args.format, buf)
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -679,7 +674,7 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
     manifest = RunManifest(
         subcommand=args.subcommand,
         parameters=_manifest_params(args),
-        table_limit=table_limit,
+        table_limit=args.table_limit_used,
         worker_count=args.worker_count,
         wall_time_s=time.perf_counter() - t0,
         result_digest=digest,

@@ -34,13 +34,11 @@ available, so the incremental searches carry a generous diagnostic cap and
 fail loudly rather than return a wrong value if it is ever hit.
 
 Verifying Grimm's conjecture below a limit decides every composite run
-between consecutive primes, block by block.  ``verify_grimm`` factors each
-block into prime sets, matches every run and is the reference.
-``verify_grimm_summary`` takes the run counts from the prime gaps alone and
-sieves only the lpf of each block: distinct largest prime factors already
-form an assignment, so it sorts one (run id, lpf) key per composite and
-factors and matches only the runs that own an equal pair, which is about
-0.02% of the runs below 1e7.
+between consecutive primes, block by block.  ``verify_grimm_summary`` takes
+the run counts from the prime gaps alone and sieves only the lpf of each
+block: distinct largest prime factors already form an assignment, so it
+sorts one (run id, lpf) key per composite and matches only the runs that own
+an equal pair, which is about 0.02% of the runs below 1e7.
 """
 
 from __future__ import annotations
@@ -51,8 +49,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import factor_interval, factor_range, lpf_range
+from .intervals import lpf_range, prime_rows
 from .primes import PrimeTable, TableLimitError
+
+
+# Longest window has_representation accepts in one call.
+MAX_WINDOW = 10**6
 
 
 class SearchCapExceeded(RuntimeError):
@@ -166,8 +168,9 @@ def has_representation(n: int, k: int, table: PrimeTable) -> RepresentationResul
     """Decide whether (n, k) has a prime representation, with certificate."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    f = factor_interval(n, k, table)
-    return _match_window(f.prime_sets)
+    if not 1 <= k <= MAX_WINDOW:
+        raise ValueError(f"window length k must be in [1, {MAX_WINDOW}], got {k}")
+    return _match_window(prime_rows(n + 1, n + k, table))
 
 
 # Diagnostic cap for the incremental searches.  This is a resource guard,
@@ -327,29 +330,6 @@ def _iter_blocks(ps: np.ndarray):
         if bhi >= blo:
             yield ps[i : j + 1], blo, bhi
         i = j
-
-
-def verify_grimm(limit: int, table: PrimeTable) -> Iterator[GrimmRunReport]:
-    """Decide every composite run between consecutive primes p < p' <= limit.
-
-    Yields one report per run in increasing order of p, each carrying the
-    canonical matching result (assignment or Hall witness).  Every run goes
-    through the full matching, which makes this the reference that
-    :func:`verify_grimm_summary` is tested against.
-    """
-    if limit > table.limit:
-        raise TableLimitError(
-            f"verification to {limit} exceeds table limit {table.limit}",
-            required=limit,
-        )
-    ps = _bounding_primes(table, 2, limit)
-    for bps, blo, bhi in _iter_blocks(ps):
-        offsets, flat, _ = factor_range(blo, bhi, table)
-        ps_l, offs, fl = bps.tolist(), offsets.tolist(), flat.tolist()
-        for p, q in zip(ps_l, ps_l[1:]):
-            if q - p > 1:
-                adj = [fl[offs[r] : offs[r + 1]] for r in range(p + 1 - blo, q - blo)]
-                yield GrimmRunReport(p, q - p - 1, _match_window(adj))
 
 
 def _colliding_runs(ps: np.ndarray, blo: int, lpf: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Distinct-prime factor data for a window of consecutive integers.
+"""Prime data for a window of consecutive integers.
 
-For a window n+1, ..., n+k the factorization is the adjacency structure of
-the bipartite graph "window offset <-> primes dividing it", which is what
-both the matching decision (does the window admit distinct prime
-representatives?) and the smoothness counts consume.
+For a window lo, ..., hi the rows of :func:`prime_rows` (the distinct
+primes of each element) are the adjacency structure of the bipartite graph
+"element <-> primes dividing it" that the matching decision consumes;
+:func:`lpf_range` gives each element's largest prime factor alone, and
+:func:`window_residuals` the cofactors the smoothness counts read.
 
 The method is one prime-power sieve (:func:`_sieve`) that splits the
 sieving primes by how often they hit the block of ``count`` values.  A dense
@@ -18,62 +19,25 @@ primes share one hit list of (row, prime) pairs built with ``np.repeat``
 arithmetic (:func:`_hits`).  It feeds one ``np.maximum.at`` for the lpf
 stores (every sparse prime exceeds every dense one) and
 ``np.floor_divide.at`` on the residual, repeated on the hits whose residual
-is still divisible, one pass per power.  :func:`_factor_block` builds its
-CSR rows from the same split.  A block with no sparse prime takes the
-strided views alone, as every full block of psi (2^20 values, primes to
+is still divisible, one pass per power.  A block with no sparse prime takes
+the strided views alone, as every full block of psi (2^20 values, primes to
 1e4) and of verify (2^21 values below 2^31) does.
 When the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it
 has no factor <= sqrt(hi) left) and is the element's largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
-primes per element is kept.  Windows of at most ``_SMALL_BLOCK``
-(factoring) or ``_SMALL_WINDOW`` (residuals) elements take plain Python
-loops instead, which beat the numpy calls there.
-
-Rows are stored CSR-style (``offsets`` into one flat int64 array) so that a
-window of a million elements stays a handful of numpy arrays, and a run of
-consecutive windows can be factored once as a block and sliced.
+primes per element is kept.  Windows of at most ``_SMALL_WINDOW`` elements
+take a plain Python loop for their residuals instead, which beats the numpy
+calls there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .primes import PrimeTable, TableLimitError
-
-# Longest window factor_interval accepts in one call.
-MAX_WINDOW = 10**6
-
-
-@dataclass(frozen=True)
-class IntervalFactorization:
-    """Distinct prime divisors for each element of the window n+1 .. n+k.
-
-    ``offsets``/``primes_flat`` form a CSR matrix whose row i-1 (0-based)
-    lists the distinct primes of n+i in increasing order.
-    """
-
-    n: int
-    k: int
-    offsets: np.ndarray  # int64, length k+1
-    primes_flat: np.ndarray  # int64, concatenated ascending rows
-    largest_prime_factor: np.ndarray  # int64, length k; lpf(n+i) (1 for the unit)
-
-    def prime_set(self, offset: int) -> np.ndarray:
-        """Distinct primes dividing n+offset (offset is 1-based)."""
-        if not 1 <= offset <= self.k:
-            raise ValueError(f"offset must be in [1, {self.k}], got {offset}")
-        return self.primes_flat[self.offsets[offset - 1] : self.offsets[offset]]
-
-    @property
-    def prime_sets(self) -> list[list[int]]:
-        """All rows as plain Python lists (materializes the whole window)."""
-        flat = self.primes_flat.tolist()
-        offs = self.offsets.tolist()
-        return [flat[offs[i] : offs[i + 1]] for i in range(self.k)]
 
 
 def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
@@ -87,44 +51,11 @@ def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
     return table.prime_list(root) if root >= 2 else []
 
 
-# Below this many elements, plain Python loops beat numpy call overhead.
-# Measured crossover: about 64-128 values near 1e4, 32-64 near 1e6; near
-# 1e8 the sieve is faster from 16 values on.
-_SMALL_BLOCK = 64
-
 # A prime p > count // _DENSE_HITS hits a block of count values at most
 # about _DENSE_HITS times; such sparse primes share one hit list.  Measured
 # per-call times fall as this grows to about 64; 45 is the largest value
 # that keeps every prime to sqrt(2^31) dense in a 2^21-value block.
 _DENSE_HITS = 45
-
-
-def _factor_block_small(lo: int, hi: int, plist: list[int]):
-    """Python-loop variant of :func:`_factor_block` for short windows."""
-    count = hi - lo + 1
-    rows: list[list[int]] = [[] for _ in range(count)]
-    residual = list(range(lo, hi + 1))
-    for p in plist:
-        start = ((lo + p - 1) // p) * p
-        for m in range(start, hi + 1, p):
-            i = m - lo
-            rows[i].append(p)
-            v = residual[i]
-            while v % p == 0:
-                v //= p
-            residual[i] = v
-    for i, r in enumerate(residual):
-        if r > 1:
-            rows[i].append(r)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    flat = np.fromiter(
-        (p for row in rows for p in row), dtype=np.int64, count=int(offsets[-1])
-    )
-    lpf = np.fromiter(
-        (row[-1] if row else 1 for row in rows), dtype=np.int64, count=count
-    )
-    return offsets, flat, lpf
 
 
 def _n_dense(count: int, primes: list[int]) -> int:
@@ -149,13 +80,11 @@ def _hits(lo: int, count: int, primes: list[int]):
 def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
     """Prime-power sieve of the values lo..hi (lo >= 1).
 
-    Returns ``(residual, lpf, hits)``: ``residual[i]`` is lo+i with every
-    prime of ``primes`` (ascending) divided out to full multiplicity.  With
+    Returns ``(residual, lpf)``: ``residual[i]`` is lo+i with every prime of
+    ``primes`` (ascending) divided out to full multiplicity.  With
     ``with_lpf``, which needs ``primes`` to be all primes <= sqrt(hi),
     ``lpf[i]`` is the largest prime factor of lo+i (1 for the unit);
     otherwise ``lpf`` is None and the smooth counts skip those stores.
-    ``hits`` is the :func:`_hits` list of the sparse primes, or None when
-    every prime is dense.
     """
     count = hi - lo + 1
     dense = _n_dense(count, primes)
@@ -169,9 +98,8 @@ def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
             smooth[-lo % q :: q] *= p
             q *= p
     residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
-    hits = None
     if dense < len(primes):
-        hits = rows, ps = _hits(lo, count, primes[dense:])
+        rows, ps = _hits(lo, count, primes[dense:])
         if with_lpf:
             np.maximum.at(lpf, rows, ps)  # every sparse p exceeds every dense one
         while len(rows):  # one pass per power: p, p^2, p^3, ...
@@ -181,77 +109,38 @@ def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
     if with_lpf:
         # a residual above 1 is the one prime factor above sqrt(hi)
         np.copyto(lpf, residual, where=residual > 1)
-    return residual, lpf, hits
+    return residual, lpf
 
 
-def _factor_block(lo: int, hi: int, plist: list[int]):
-    """CSR (offsets, flat, lpf) of distinct primes for values lo..hi, lo >= 1."""
-    count = hi - lo + 1
-    if count <= _SMALL_BLOCK:
-        return _factor_block_small(lo, hi, plist)
-    residual, lpf, hits = _sieve(lo, hi, plist, with_lpf=True)
-    dense = plist[: _n_dense(count, plist)]
-    has_res = residual > 1
-    nfac = has_res.astype(np.int64)
-    for p in dense:
-        nfac[-lo % p :: p] += 1
-    if hits is not None:
-        sparse_n = np.bincount(hits[0], minlength=count)
-        nfac += sparse_n
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(nfac, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    fill = offsets[:-1].copy()
-    for p in dense:
-        row_fill = fill[-lo % p :: p]
-        flat[row_fill] = p
-        row_fill += 1
-    if hits is not None:
-        # a stable sort by row keeps each row's sparse primes ascending
-        order = np.argsort(hits[0], kind="stable")
-        by_row = hits[0][order]
-        rank = np.arange(len(by_row)) - np.searchsorted(by_row, by_row)
-        flat[fill[by_row] + rank] = hits[1][order]
-        fill += sparse_n
-    rows = np.flatnonzero(has_res)
-    flat[fill[rows]] = residual[rows]
-    return offsets, flat, lpf
+def prime_rows(lo: int, hi: int, table: PrimeTable) -> list[list[int]]:
+    """Distinct primes of each value lo..hi (lo >= 1), each row ascending.
 
-
-def factor_range(lo: int, hi: int, table: PrimeTable):
-    """Block form of :func:`factor_interval` on raw values lo..hi (lo >= 1).
-
-    Returns ``(offsets, primes_flat, lpf)``; meant for drivers that factor a
-    long stretch once and slice out many sub-windows.
+    The hits of every sieving prime p <= sqrt(hi) come grouped by ascending
+    p, so appending them in order keeps the rows sorted; a residual above 1
+    after the sieve is the one prime above sqrt(hi) and goes last.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    return _factor_block(lo, hi, _sieving_primes(table, hi))
+    primes = _sieving_primes(table, hi)
+    rows: list[list[int]] = [[] for _ in range(hi - lo + 1)]
+    for i, p in zip(*(a.tolist() for a in _hits(lo, len(rows), primes))):
+        rows[i].append(p)
+    residual = _sieve(lo, hi, primes)[0]
+    big = np.flatnonzero(residual > 1)
+    for i, r in zip(big.tolist(), residual[big].tolist()):
+        rows[i].append(r)
+    return rows
 
 
 def lpf_range(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
-    """Largest prime factor of each value lo..hi (1 for the unit), without
-    the CSR rows of :func:`factor_range`."""
+    """Largest prime factor of each value lo..hi (1 for the unit)."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     return _sieve(lo, hi, _sieving_primes(table, hi), with_lpf=True)[1]
 
 
-def factor_interval(n: int, k: int, table: PrimeTable) -> IntervalFactorization:
-    """Distinct-prime sets for the window n+1, ..., n+k."""
-    n, k = int(n), int(k)
-    if n < 1:
-        raise ValueError(f"window base n must be >= 1, got {n}")
-    if not 1 <= k <= MAX_WINDOW:
-        raise ValueError(f"window length k must be in [1, {MAX_WINDOW}], got {k}")
-    offsets, flat, lpf = factor_range(n + 1, n + k, table)
-    return IntervalFactorization(
-        n=n, k=k, offsets=offsets, primes_flat=flat, largest_prime_factor=lpf
-    )
-
-
 # ---------------------------------------------------------------------------
-# residual-only window sieving (no CSR), for smooth counting
+# residual-only window sieving, for smooth counting
 # ---------------------------------------------------------------------------
 
 # Below this window size plain Python loops beat numpy call overhead.

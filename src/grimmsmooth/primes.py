@@ -17,8 +17,8 @@ accumulated error stays far below the 1e-9 * pi(x) budget).
 
 On top of the table sit the scan-style checks:
 
-* :func:`gap_scan` / :func:`gap_check` -- consecutive prime gaps against the
-  Cramer-style bound ``gap < 1 + (log p)**2``.
+* :func:`gap_check` -- consecutive prime gaps against the Cramer-style bound
+  ``gap < 1 + (log p)**2``.
 * :func:`check_dusart` -- the explicit bounds
   ``pi(x) < (x/log x)(1 + 1.2762/log x)`` for integer ``x > 1`` and
   ``theta(x) <= 1.00008 x`` for real ``x > 0``.
@@ -327,45 +327,20 @@ class GapScanSummary:
     max_gap_p: int
 
 
-def _gap_arrays(table: PrimeTable, lo: int, hi: int):
-    """Vectorized gap data for pairs whose *second* prime lies in (lo, hi]."""
-    lo = max(int(lo), 2)
-    if hi <= lo:
-        return None
-    # pairs close at primes > lo, so enumeration opens at the prime <= lo
-    ps = table.primes_in(table.prev_prime(lo), hi)
-    if len(ps) < 2:
-        return None
-    p = ps[:-1]
-    gap = np.diff(ps)
-    bound = 1.0 + np.log(p.astype(np.float64)) ** 2
-    return p, ps[1:], gap, bound
-
-
-def gap_scan(limit: int, table: PrimeTable) -> Iterator[GapRecord]:
-    """Stream one :class:`GapRecord` per consecutive prime pair below limit."""
-    if limit > table.limit:
-        raise TableLimitError(
-            f"gap scan to {limit} exceeds table limit {table.limit}", required=limit
-        )
-    data = _gap_arrays(table, 2, limit)
-    if data is None:
-        return
-    p, q, gap, bound = data
-    for i in range(len(p)):
-        yield GapRecord(int(p[i]), int(q[i]), int(gap[i]), float(bound[i]))
-
-
 def gap_check(limit: int, table: PrimeTable, lo: int = 2) -> GapScanSummary:
-    """Vectorized gap scan; collects only the (expected empty) violations."""
+    """Gap scan over the pairs whose second prime lies in (lo, limit];
+    collects only the (expected empty) violations."""
     if limit > table.limit:
         raise TableLimitError(
             f"gap scan to {limit} exceeds table limit {table.limit}", required=limit
         )
-    data = _gap_arrays(table, lo, limit)
-    if data is None:
+    lo = max(int(lo), 2)
+    # pairs close at primes > lo, so enumeration opens at the prime <= lo
+    ps = table.primes_in(table.prev_prime(lo), limit) if limit > lo else []
+    if len(ps) < 2:
         return GapScanSummary(limit, 0, (), 0, 0)
-    p, q, gap, bound = data
+    p, q, gap = ps[:-1], ps[1:], np.diff(ps)
+    bound = 1.0 + np.log(p.astype(np.float64)) ** 2
     bad = np.flatnonzero(gap >= bound)
     records = tuple(
         GapRecord(int(p[i]), int(q[i]), int(gap[i]), float(bound[i])) for i in bad

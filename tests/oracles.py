@@ -1,14 +1,19 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything here is deliberately naive: trial division, exhaustive
-backtracking, direct recursion.  None of it shares code with the package.
+backtracking, direct recursion.  None of it shares code with the package,
+except :func:`verify_grimm`, the full-matching reference for the run
+verification, which decides every run with the library's own matching.
 """
 
 from __future__ import annotations
 
 from math import floor, gcd, isqrt
+from typing import Iterator
 
 import numpy as np
+
+from grimmsmooth import GrimmRunReport, PrimeTable, has_representation
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -87,6 +92,20 @@ def g1_prefix_union(n: int, k_cap: int = 10_000) -> int:
             return l - 1
         l += 1
     raise RuntimeError(f"g1_prefix_union({n}) exceeded cap {k_cap}")
+
+
+def verify_grimm(limit: int, table: PrimeTable) -> Iterator[GrimmRunReport]:
+    """One report per composite run p+1 .. q-1 between consecutive primes
+    p < q <= limit, in increasing p, each decided by ``has_representation``.
+
+    ``verify_grimm_summary`` matches only the runs whose largest prime
+    factors collide; this decides every run, so it is the reference the
+    summary's counts and failures are checked against.
+    """
+    ps = table.primes_in(2, limit).tolist()
+    for p, q in zip(ps, ps[1:]):
+        if q - p > 1:
+            yield GrimmRunReport(p, q - p - 1, has_representation(p, q - p - 1, table))
 
 
 def smooth_count_direct(lo: int, hi: int, y: float) -> int:

@@ -163,6 +163,7 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert run(["no-such-command"], stdout=buf) == 2
     # the message names the offending flag
     scan = ["exceptional-scan", "--x-max", "100", "--eps", "0.4"]
+    rd = ["--r", "1", "--s", "10", "--d", "1"]
     for argv, needle in [
         (scan + ["--stride", "-1"], "--stride"),
         (scan + ["--stride", "0"], "--stride"),
@@ -181,6 +182,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["ram-sum", "--x", "0", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "100", "--alpha", "nan"], "--alpha"),
         (["ram-sum", "--x", "100", "--alpha", "0.6"], "--alpha"),
+        (["rd", "--x", "-5", "--alpha", "0.4"] + rd, "--x"),
+        (["rd", "--x", "0", "--alpha", "0.4"] + rd, "--x"),
+        (["rd", "--x", "100", "--alpha", "nan"] + rd, "--alpha"),
+        (["rd", "--x", "100", "--alpha", "inf"] + rd, "--alpha"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
@@ -196,8 +201,10 @@ def test_table_limit_too_small_is_resource_error(tmp_path):
 
 
 def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):
-    # x = 1e8, alpha = 1/3: W = 464 and isqrt(x + W) + 1 = 10,001
-    monkeypatch.setattr(grimmsmooth.cli, "_table_cache", None)  # as a fresh process
+    # x = 1e8, alpha = 1/3: W = 464 and isqrt(x + W) + 1 = 10,001, which the
+    # manifest records even after an in-process call cached a larger table
+    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
+    assert invoke(["verify-grimm", "--limit", "1000000"], tmp_path)[0] == 0
     argv = ["ram-sum", "--x", "100000000", "--alpha", str(1 / 3)]
     mpath = tmp_path / "rs.manifest.json"
     code, out = invoke(argv, tmp_path, manifest=mpath)
@@ -333,9 +340,6 @@ def test_checkpoint_resume(tmp_path, capsys):
 
 
 def test_env_table_limit_floor(tmp_path, monkeypatch):
-    import grimmsmooth.cli as cli
-
-    monkeypatch.setattr(cli, "_table_cache", None)
     monkeypatch.setenv("GRIMMSMOOTH_TABLE_LIMIT", "5000")
     mpath = tmp_path / "env.manifest.json"
     code, out = invoke(["g", "--n", "2"], tmp_path, manifest=mpath)

@@ -8,12 +8,9 @@ from grimmsmooth import (
     GrimmRunReport,
     RepresentationResult,
     VerifySummary,
-    factor_interval,
     g,
     g1,
-    gap_scan,
     has_representation,
-    verify_grimm,
     verify_grimm_summary,
 )
 from grimmsmooth import grimm
@@ -23,6 +20,8 @@ from oracles import (
     g_exhaustive,
     largest_prime_factor,
     sdr_exists,
+    trial_primes,
+    verify_grimm,
 )
 
 
@@ -60,23 +59,23 @@ def test_examples(table_1e4):
 def test_decision_matches_exhaustive_sdr(table_1e4):
     for n in range(2, 120):
         for k in (1, 2, 3, 5, 8):
-            f = factor_interval(n, k, table_1e4)
+            sets = [distinct_primes(n + i) for i in range(1, k + 1)]
             res = has_representation(n, k, table_1e4)
-            assert res.representable == sdr_exists(f.prime_sets), (n, k)
+            assert res.representable == sdr_exists(sets), (n, k)
             check_result(n, k, res, table_1e4)
 
 
 def test_decision_matches_exhaustive_sdr_randomized(table_1e6):
-    # same differential check at larger magnitudes (block factoring path)
+    # same differential check at larger magnitudes
     import numpy as np
 
     rng = np.random.default_rng(97)
     for _ in range(40):
         n = int(rng.integers(10**4, 10**6))
         k = int(rng.integers(1, 25))
-        f = factor_interval(n, k, table_1e6)
+        sets = [distinct_primes(n + i) for i in range(1, k + 1)]
         res = has_representation(n, k, table_1e6)
-        assert res.representable == sdr_exists(f.prime_sets), (n, k)
+        assert res.representable == sdr_exists(sets), (n, k)
         check_result(n, k, res, table_1e6)
 
 
@@ -195,10 +194,16 @@ def test_verify_grimm_small(table_1e4):
 
 
 def test_stream_results_match_direct_calls(table_1e4):
-    # block slicing must reproduce the per-window canonical matching exactly
-    for r in verify_grimm(2000, table_1e4):
-        direct = has_representation(r.p, r.k, table_1e4)
-        assert direct == r.result, (r.p, r.k)
+    # the reference stream holds one run per gap between consecutive trial
+    # primes, decided as the exhaustive SDR search decides it
+    ps = trial_primes(2000)
+    reports = list(verify_grimm(2000, table_1e4))
+    assert [(r.p, r.k) for r in reports] == [
+        (p, q - p - 1) for p, q in zip(ps, ps[1:]) if q - p > 1
+    ]
+    for r in reports:
+        sets = [distinct_primes(r.p + i) for i in range(1, r.k + 1)]
+        assert r.result.representable == sdr_exists(sets), (r.p, r.k)
 
 
 @pytest.fixture(scope="module")
@@ -310,11 +315,12 @@ def test_csv_rows(table_1e4):
 
 def test_gap_and_grimm_consistency(table_1e4):
     # every gap >= 2 among primes <= limit appears as exactly one run
-    gaps = [r for r in gap_scan(5000, table_1e4) if r.gap >= 2]
+    ps = trial_primes(5000)
+    gaps = [(p, q - p) for p, q in zip(ps, ps[1:]) if q - p >= 2]
     runs = list(verify_grimm(5000, table_1e4))
     assert len(gaps) == len(runs)
-    for gr, rr in zip(gaps, runs):
-        assert gr.p == rr.p and gr.gap == rr.k + 1
+    for (p, gap), rr in zip(gaps, runs):
+        assert p == rr.p and gap == rr.k + 1
 
 
 def test_verify_grimm_extended_range():

@@ -1,3 +1,4 @@
+from functools import cache
 from math import isqrt, prod
 
 import numpy as np
@@ -5,13 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grimmsmooth import (
-    TableLimitError,
-    factor_interval,
-    factor_range,
-)
+from grimmsmooth import TableLimitError, has_representation
 from grimmsmooth import intervals
-from grimmsmooth.intervals import lpf_range, window_residuals
+from grimmsmooth.intervals import lpf_range, prime_rows, window_residuals
 from oracles import (
     distinct_primes,
     largest_prime_factor,
@@ -37,7 +34,7 @@ PRIME_POWERS = sorted(
 @st.composite
 def windows(draw):
     """[lo, hi] holding a prime power, often with hi equal to it, in
-    lengths on both sides of the 256- and 512-element Python paths."""
+    lengths on both sides of the 256-element Python residual path."""
     length = draw(
         st.one_of(
             st.integers(1, 600),
@@ -51,15 +48,13 @@ def windows(draw):
 
 
 def test_examples(table_1e4):
-    f = factor_interval(8, 3, table_1e4)
-    assert f.prime_sets == [[3], [2, 5], [11]]
-    assert f.largest_prime_factor.tolist() == [3, 5, 11]
+    assert prime_rows(9, 11, table_1e4) == [[3], [2, 5], [11]]
+    assert lpf_range(9, 11, table_1e4).tolist() == [3, 5, 11]
 
-    f = factor_interval(1, 1, table_1e4)
-    assert f.prime_sets == [[2]]
+    assert prime_rows(2, 2, table_1e4) == [[2]]
+    assert prime_rows(1, 1, table_1e4) == [[]]
 
-    f = factor_interval(10**6 - 1, 2, table_1e4)
-    assert f.prime_sets == [[2, 5], [101, 9901]]
+    assert prime_rows(10**6, 10**6 + 1, table_1e4) == [[2, 5], [101, 9901]]
 
 
 def test_matches_trial_division_randomized(table_1e4):
@@ -67,25 +62,26 @@ def test_matches_trial_division_randomized(table_1e4):
     for _ in range(60):
         n = int(rng.integers(1, 10_000))
         k = int(rng.integers(1, 51))
-        f = factor_interval(n, k, table_1e4)
+        rows = prime_rows(n + 1, n + k, table_1e4)
+        lpf = lpf_range(n + 1, n + k, table_1e4).tolist()
         for i in range(1, k + 1):
-            assert f.prime_set(i).tolist() == distinct_primes(n + i), (n, i)
-            assert f.largest_prime_factor[i - 1] == largest_prime_factor(n + i)
+            assert rows[i - 1] == distinct_primes(n + i), (n, i)
+            assert lpf[i - 1] == largest_prime_factor(n + i)
 
 
 def test_matches_trial_division_small_exhaustive(table_1e4):
     for n in range(1, 80):
-        f = factor_interval(n, 20, table_1e4)
+        rows = prime_rows(n + 1, n + 20, table_1e4)
         for i in range(1, 21):
-            assert f.prime_set(i).tolist() == distinct_primes(n + i)
+            assert rows[i - 1] == distinct_primes(n + i)
 
 
 def test_rows_reconstruct_value(table_1e4):
     # dividing n+i by every listed prime to full multiplicity leaves 1
-    f = factor_interval(5040, 30, table_1e4)
+    rows = prime_rows(5041, 5070, table_1e4)
     for i in range(1, 31):
         v = 5040 + i
-        for p in f.prime_set(i).tolist():
+        for p in rows[i - 1]:
             assert v % p == 0
             while v % p == 0:
                 v //= p
@@ -111,26 +107,19 @@ def test_factorial_divides_product_of_window(table_1e4):
 
 
 def test_validation_errors(table_1e4):
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        has_representation(1, 3, table_1e4)
+    window = r"window length k must be in \[1, 1000000\]"
+    for k in (0, 10**6 + 1):
+        with pytest.raises(ValueError, match=window):
+            has_representation(5, k, table_1e4)
     with pytest.raises(ValueError):
-        factor_interval(0, 1, table_1e4)
+        prime_rows(0, 1, table_1e4)
     with pytest.raises(ValueError):
-        factor_interval(5, 0, table_1e4)
-    with pytest.raises(ValueError):
-        factor_interval(5, 10**6 + 1, table_1e4)
-    err = None
-    try:
-        factor_interval(4 * 10**8, 10, table_1e4)
-    except TableLimitError as e:
-        err = e
-    assert err is not None and err.required == 20_000
-
-
-def test_factor_range_matches_interval(table_1e4):
-    offs1, flat1, lpf1 = factor_range(100, 150, table_1e4)
-    f = factor_interval(99, 51, table_1e4)
-    assert offs1.tolist() == f.offsets.tolist()
-    assert flat1.tolist() == f.primes_flat.tolist()
-    assert lpf1.tolist() == f.largest_prime_factor.tolist()
+        prime_rows(5, 4, table_1e4)
+    with pytest.raises(TableLimitError) as err:
+        has_representation(4 * 10**8, 10, table_1e4)
+    assert err.value.required == 20_000
 
 
 def test_window_residuals_paths_agree(table_1e4):
@@ -154,10 +143,15 @@ def test_window_residuals_semantics(table_1e4):
     assert window_residuals(1, 1, 10, table_1e4).tolist() == [1]
 
 
+@cache
+def factorizations(lo, hi):
+    return [trial_factorization(v) for v in range(lo, hi + 1)]
+
+
 @pytest.mark.parametrize("dense_hits", [1, 45, 10**9])
 def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
     # strided views only, the default split, and the hit list only give the
-    # same CSR rows, lpf and residuals as the Python paths
+    # trial-division rows, lpf and residuals
     monkeypatch.setattr(intervals, "_DENSE_HITS", dense_hits)
     for lo, hi in [
         (1, 2000),
@@ -165,20 +159,13 @@ def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
         (97**4 - 600, 97**4 + 600),
         (2**20 - 1000, 2**20 + 24),
     ]:
-        plist = table_1e4.prime_list(isqrt(hi))
-        want = intervals._factor_block_small(lo, hi, plist)
-        got = factor_range(lo, hi, table_1e4)
-        for a, b in zip(got, want):
-            assert a.tolist() == b.tolist(), (lo, hi)
-        assert lpf_range(lo, hi, table_1e4).tolist() == want[2].tolist()
-        offs, flat = want[0].tolist(), want[1].tolist()
+        facs = factorizations(lo, hi)
+        assert prime_rows(lo, hi, table_1e4) == [sorted(f) for f in facs], (lo, hi)
+        lpf = lpf_range(lo, hi, table_1e4).tolist()
+        assert lpf == [max(f, default=1) for f in facs], (lo, hi)
         for bound in (7, 60, 10**4):
-            cut, res = min(bound, isqrt(hi)), []
-            for i, v in enumerate(range(lo, hi + 1)):
-                for p in flat[offs[i] : offs[i + 1]]:
-                    while p <= cut and v % p == 0:
-                        v //= p
-                res.append(v)
+            cut = min(bound, isqrt(hi))
+            res = [prod(p**e for p, e in f.items() if p > cut) for f in facs]
             assert window_residuals(lo, hi, bound, table_1e4).tolist() == res
 
 
@@ -188,14 +175,12 @@ def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
 @example((997**2 - 700, 997**2))
 def test_factor_range_matches_trial_division_property(table_1e4, window):
     lo, hi = window
-    offsets, flat, lpf = factor_range(lo, hi, table_1e4)
-    offs, fl = offsets.tolist(), flat.tolist()
-    window_lpf = lpf_range(lo, hi, table_1e4).tolist()
+    rows = prime_rows(lo, hi, table_1e4)
+    lpf = lpf_range(lo, hi, table_1e4).tolist()
     for i, v in enumerate(range(lo, hi + 1)):
         fac = trial_factorization(v)
-        assert fl[offs[i] : offs[i + 1]] == sorted(fac), v
+        assert rows[i] == sorted(fac), v
         assert lpf[i] == max(fac, default=1), v
-        assert window_lpf[i] == max(fac, default=1), v
 
 
 @settings(max_examples=100, deadline=None)

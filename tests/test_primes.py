@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from grimmsmooth import (
+    GapScanSummary,
     TableLimitError,
     build_table,
     check_dusart,
     check_stirling_factorial,
     gap_check,
-    gap_scan,
 )
 from oracles import trial_primes
 
@@ -147,25 +147,24 @@ def test_theta_accuracy_budget(table_1e6):
     assert abs(table_1e6.theta(10**6) - ref) <= 1e-9 * table_1e6.pi(10**6)
 
 
-def test_gap_scan_records(table_1e4):
-    recs = list(gap_scan(10, table_1e4))
-    assert [(r.p, r.next_p, r.gap) for r in recs] == [(2, 3, 1), (3, 5, 2), (5, 7, 2)]
-    assert all(math.isclose(r.cramer_bound, 1 + math.log(r.p) ** 2) for r in recs)
-    recs = list(gap_scan(3, table_1e4))
-    assert [(r.p, r.next_p, r.gap) for r in recs] == [(2, 3, 1)]
-
-
-def test_gap_scan_sums_to_span(table_1e4):
-    recs = list(gap_scan(10_000, table_1e4))
-    assert sum(r.gap for r in recs) == recs[-1].next_p - 2
-    assert not any(r.violates for r in recs)
+def test_gap_check_small_limits(table_1e4):
+    assert gap_check(10, table_1e4) == GapScanSummary(10, 3, (), 2, 3)
+    assert gap_check(3, table_1e4) == GapScanSummary(3, 1, (), 1, 2)
+    # only the pairs closing above lo: (5, 7)
+    assert gap_check(10, table_1e4, lo=5) == GapScanSummary(10, 1, (), 2, 5)
+    assert gap_check(2, table_1e4) == GapScanSummary(2, 0, (), 0, 0)
 
 
 def test_gap_check_matches_stream(table_1e4):
+    # against the consecutive differences of the trial-division primes
     s = gap_check(10_000, table_1e4)
-    recs = list(gap_scan(10_000, table_1e4))
-    assert s.pairs == len(recs)
-    assert s.max_gap == max(r.gap for r in recs)
+    gaps = [q - p for p, q in zip(TRIAL_1E4, TRIAL_1E4[1:])]
+    assert s.pairs == len(gaps)
+    assert s.max_gap == max(gaps)
+    assert s.max_gap_p == TRIAL_1E4[gaps.index(max(gaps))]
+    assert not any(
+        d >= 1 + math.log(p) ** 2 for p, d in zip(TRIAL_1E4, gaps)
+    )
     assert len(s.violations) == 0
 
 
