@@ -42,7 +42,7 @@ for m in range(4, 11):
 # every composite run between consecutive primes is representable: the
 # first few with their certificates, then a whole range at once
 print("\nfirst composite runs:")
-ps = table.primes_in(2, 50).tolist()
+ps = table.primes_to(50).tolist()
 for p, q in zip(ps, ps[1:]):
     if q - p > 1:
         res = has_representation(p, q - p - 1, table)

@@ -35,8 +35,8 @@ from .primes import (
     TableLimitError,
     build_table,
     check_dusart,
-    check_stirling_factorial,
     gap_check,
+    segments,
 )
 from .smooth import (
     ExceptionalScanReport,
@@ -54,7 +54,6 @@ from .sums import (
     phi_sum,
     r_d,
     ram_sum,
-    remainder_exponent_ok,
     scaled_intervals_disjoint,
     window_exponent_floor,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "build_rho_table",
     "build_table",
     "check_dusart",
-    "check_stirling_factorial",
     "delta_of_lambda",
     "exceptional_scan",
     "exponent_report",
@@ -101,9 +99,9 @@ __all__ = [
     "psi_window",
     "r_d",
     "ram_sum",
-    "remainder_exponent_ok",
     "rho",
     "scaled_intervals_disjoint",
+    "segments",
     "verify_grimm_summary",
     "window_exponent_floor",
 ]

@@ -31,7 +31,7 @@ from . import __version__
 from . import exponents as expo
 from .dickman import MAX_T, build_rho_table, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
-from .primes import PrimeTable, TableLimitError, check_dusart, gap_check
+from .primes import MAX_LIMIT, PrimeTable, TableLimitError, check_dusart, gap_check, segments
 from .smooth import (
     ExceptionalScanReport, exceptional_scan, grimm_upper_bound, psi, psi_window, scan_c0,
 )
@@ -216,7 +216,7 @@ def _verify_shard(bounds, table):
 
 def _gap_shard(bounds, table):
     lo, hi = bounds
-    s = gap_check(hi, table, lo=lo)
+    s = gap_check(hi, lo=lo)
     return {
         "pairs": s.pairs,
         "max_gap": s.max_gap,
@@ -260,7 +260,7 @@ def _h_represent(args):
 
 
 def _h_verify_grimm(args):
-    table = _get_table(args.limit, args)
+    table = _get_table(isqrt(args.limit) + 1, args)
     shards = _range_shards(args.limit)
     meta = {
         "cmd": "verify-grimm", "limit": args.limit, "span": SHARD_SPAN,
@@ -279,7 +279,7 @@ def _h_verify_grimm(args):
         # every run between consecutive primes is representable except the
         # failures the shards reported, each "p,k,not_representable,witness"
         witness = {int(p): w for p, _, _, w in (f.split(",") for f in failures)}
-        ps = table.primes_in(2, args.limit).tolist()
+        ps = [p for seg in segments(2, args.limit) for p in seg.tolist()]
         rows = [
             {
                 "p": p,
@@ -310,14 +310,13 @@ def _h_verify_grimm(args):
 
 
 def _h_gap_scan(args):
-    table = _get_table(args.limit, args)
     shards = _range_shards(args.limit)
     meta = {
         "cmd": "gap-scan", "limit": args.limit, "span": SHARD_SPAN,
         "version": __version__,
     }
     parts = _run_shards(
-        shards, _gap_shard, table, args.worker_count, args.checkpoint, meta
+        shards, _gap_shard, None, args.worker_count, args.checkpoint, meta
     )
     pairs = sum(p["pairs"] for p in parts)
     violations = [v for p in parts for v in p["violations"]]
@@ -340,8 +339,7 @@ def _h_gap_scan(args):
 
 
 def _h_dusart(args):
-    table = _get_table(args.limit, args)
-    rep = check_dusart(args.limit, table)
+    rep = check_dusart(args.limit)
     rows = [
         {
             "bound": "pi_upper",
@@ -526,6 +524,8 @@ def _positive(cast):
 
 _finite_float = _checked(float, math.isfinite, "finite")
 _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
+# the range scans stay within 2^31, the range they are tested on
+_scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -560,16 +560,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("verify-grimm", _h_verify_grimm, help="verify all composite runs below limit")
-    p.add_argument("--limit", type=_positive(int), required=True)
+    p.add_argument("--limit", type=_scan_limit, required=True)
     p.add_argument("--emit-runs", action="store_true")
     p.add_argument("--checkpoint", default=None)
 
     p = add("gap-scan", _h_gap_scan, help="prime gaps against 1 + (log p)^2")
-    p.add_argument("--limit", type=_positive(int), required=True)
+    p.add_argument("--limit", type=_scan_limit, required=True)
     p.add_argument("--checkpoint", default=None)
 
     p = add("dusart-check", _h_dusart, help="explicit pi and theta bounds up to limit")
-    p.add_argument("--limit", type=_positive(int), required=True)
+    p.add_argument("--limit", type=_scan_limit, required=True)
 
     p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
     p.add_argument("--x", type=int, required=True)

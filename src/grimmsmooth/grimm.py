@@ -50,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from .intervals import lpf_range, prime_rows
-from .primes import PrimeTable, TableLimitError
+from .primes import PrimeTable, bounding_primes
 
 
 # Longest window has_representation accepts in one call.
@@ -214,7 +214,7 @@ class _LpfWindow:
         self.lpf = np.concatenate([self.lpf, lpf_range(lo, self.n + length, self.table)])
         self.lpfs = self.lpf.tolist()
         self.root = math.isqrt(self.n + length)
-        self.primes = np.array(self.table.prime_list(self.root), dtype=np.int64)
+        self.primes = self.table.primes_to(self.root)
 
     def double(self) -> None:
         """Double L, up to ``max_rows``."""
@@ -308,14 +308,6 @@ def g1(n: int, table: PrimeTable) -> int:
 _SCAN_BLOCK = 1 << 21
 
 
-def _bounding_primes(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
-    """Consecutive primes bounding every composite run whose closing prime
-    lies in (lo, hi]: from the largest prime <= lo up to hi."""
-    if hi <= 2 or hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    return table.primes_in(2 if lo <= 2 else table.prev_prime(lo), hi)
-
-
 def _iter_blocks(ps: np.ndarray):
     """Yield ``(bps, blo, bhi)`` per block of the runs between the
     consecutive primes ``ps``.
@@ -342,7 +334,9 @@ def _colliding_runs(ps: np.ndarray, blo: int, lpf: np.ndarray) -> np.ndarray:
     np.cumsum(run_id, out=run_id)
     composite = np.ones(count, dtype=bool)
     composite[inner] = False
-    # run_id < 2^21 and lpf <= bhi < 2^31, so the key fits in int64
+    # run_id < count < 2^22 (2^21 values plus one prime gap) and lpf <= bhi,
+    # with blo + count = bhi + 1, so the key is below 2^22 * (bhi + 1) and
+    # fits in int64 while bhi < 2^41
     keys = np.sort(run_id[composite] * (blo + count) + lpf[composite])
     dup = keys[1:][keys[1:] == keys[:-1]]
     return np.unique(dup // (blo + count))
@@ -358,14 +352,10 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
     the key (run id, lpf), with the run id a cumulative count of the block's
     primes, and equal neighbours in the sorted keys mark the runs to factor
     and match.  Failure reports always carry the canonical matching
-    certificate.
+    certificate.  The primes come from :func:`bounding_primes`; ``table``
+    only has to reach sqrt(limit), for the lpf sieve and the matching.
     """
-    if limit > table.limit:
-        raise TableLimitError(
-            f"verification to {limit} exceeds table limit {table.limit}",
-            required=limit,
-        )
-    ps = _bounding_primes(table, lo, limit)
+    ps = bounding_primes(lo, limit)
     ks = np.diff(ps) - 1
     runs = int(np.count_nonzero(ks))
     max_k, max_k_p = 0, 0

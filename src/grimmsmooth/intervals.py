@@ -32,7 +32,6 @@ calls there.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import isqrt
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .primes import PrimeTable, TableLimitError
 
 
-def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
+def _sieving_primes(table: PrimeTable, hi: int) -> np.ndarray:
     root = isqrt(hi)
     if table.limit < root:
         raise TableLimitError(
@@ -48,7 +47,7 @@ def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
             f"table limit is {table.limit}",
             required=root,
         )
-    return table.prime_list(root) if root >= 2 else []
+    return table.primes_to(root)
 
 
 # A prime p > count // _DENSE_HITS hits a block of count values at most
@@ -58,26 +57,29 @@ def _sieving_primes(table: PrimeTable, hi: int) -> list[int]:
 _DENSE_HITS = 45
 
 
-def _n_dense(count: int, primes: list[int]) -> int:
+def _n_dense(count: int, primes: np.ndarray) -> int:
     """How many of the ascending ``primes`` sieve a block of ``count`` values
     with strided views: those p <= count // _DENSE_HITS."""
-    return bisect_right(primes, count // _DENSE_HITS)
+    return int(np.searchsorted(primes, count // _DENSE_HITS, side="right"))
 
 
-def _hits(lo: int, count: int, primes: list[int]):
+def _hits(lo: int, count: int, primes: np.ndarray):
     """``(rows, ps)``: every multiple lo+rows[t] of ps[t] in the block of
     ``count`` values from lo, for each of ``primes``, grouped by prime in the
     given order and ascending within a prime."""
-    ps = np.array(primes, dtype=np.int64)
-    first = -lo % ps
-    nhit = (count - 1 - first) // ps + 1  # >= 0, since first < p
+    first = -lo % primes
+    # primes with no multiple in the block drop out first, so every later
+    # temporary has the size of the hit list, not of ``primes``
+    hit = first < count
+    ps, first = primes[hit], first[hit]
+    nhit = (count - 1 - first) // ps + 1
     start = np.cumsum(nhit) - nhit
     rep = np.repeat(ps, nhit)
     rows = np.repeat(first - start * ps, nhit) + np.arange(len(rep)) * rep
     return rows, rep
 
 
-def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
+def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
     """Prime-power sieve of the values lo..hi (lo >= 1).
 
     Returns ``(residual, lpf)``: ``residual[i]`` is lo+i with every prime of
@@ -90,7 +92,7 @@ def _sieve(lo: int, hi: int, primes: list[int], with_lpf: bool = False):
     dense = _n_dense(count, primes)
     smooth = np.ones(count, dtype=np.int64)
     lpf = np.ones(count, dtype=np.int64) if with_lpf else None
-    for p in primes[:dense]:
+    for p in primes[:dense].tolist():
         if with_lpf:
             lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
         q = p
@@ -165,11 +167,11 @@ def window_residuals(lo: int, hi: int, prime_bound: int, table: PrimeTable):
             f"window sieve needs primes to {bound}, table limit is {table.limit}",
             required=bound,
         )
-    ps = table.prime_list(bound) if bound >= 2 else []
+    ps = table.primes_to(bound)
 
     if hi - lo + 1 <= _SMALL_WINDOW:
         res = list(range(lo, hi + 1))
-        for p in ps:
+        for p in ps.tolist():
             start = ((lo + p - 1) // p) * p
             for m in range(start, hi + 1, p):
                 i = m - lo

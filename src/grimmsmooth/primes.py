@@ -1,34 +1,33 @@
-"""Exact prime infrastructure: segmented bit-packed sieve, pi, theta, n-th prime.
+"""Exact prime infrastructure: one segmented sieve, and a bit-packed table for pi.
 
-The whole module is built around one data structure, :class:`PrimeTable`: an
-odd-only, bit-packed Eratosthenes sieve up to a fixed ``limit`` with a
-cumulative prime count stored at every segment boundary.  Everything it
-answers (``is_prime``, ``pi``, ``theta``, ``nth_prime``, prime enumeration) is
-exact for arguments up to ``limit``; there are no analytic approximations
-anywhere.
+:func:`segments` is the package's one primality sieve: an odd-only
+Eratosthenes sieve that walks [lo, hi] in chunks of ``_CHUNK_ODDS`` odd
+numbers, crossing off multiples of the base primes <= sqrt(hi), and yields
+each chunk's primes as an ascending int64 array.  Its memory is one chunk,
+whatever the range, so the scans read it directly, one shard at a time, and
+need no table:
 
-Storage layout.  Odd numbers 1, 3, 5, ... map to bit indices 0, 1, 2, ...
-(number ``2*i + 1`` <-> bit ``i``).  Bits are packed little-endian into a
-``uint8`` array, so a segment of ``segment_size`` consecutive integers
-occupies ``segment_size // 16`` bytes.  A ``pi`` query costs one checkpoint
-lookup plus a popcount over at most one segment of bits; ``theta`` adds a
-lazily built table of per-segment log sums (compensated summation, so the
-accumulated error stays far below the 1e-9 * pi(x) budget).
-
-On top of the table sit the scan-style checks:
-
+* :func:`bounding_primes` -- the consecutive primes around the gaps that
+  close in (lo, hi], opened by the largest prime <= lo, which it finds by
+  sieving back from lo in doubling steps.
 * :func:`gap_check` -- consecutive prime gaps against the Cramer-style bound
   ``gap < 1 + (log p)**2``.
 * :func:`check_dusart` -- the explicit bounds
   ``pi(x) < (x/log x)(1 + 1.2762/log x)`` for integer ``x > 1`` and
-  ``theta(x) <= 1.00008 x`` for real ``x > 0``.
-* :func:`check_stirling_factorial` -- the Stirling-type lower bound for
-  ``k!`` as a finite inequality over a k-range.
+  ``theta(x) <= 1.00008 x`` for real ``x > 0``, theta as a running sum.
+
+:class:`PrimeTable` packs the flags of the same chunk loop, run over
+[2, limit], for the exact ``is_prime`` and ``pi`` lookups up to ``limit``.
+Odd numbers 1, 3, 5, ... map to bit indices 0, 1, 2, ... (number ``2*i + 1``
+<-> bit ``i``), packed little-endian into a ``uint8`` array, with the
+cumulative prime count stored at every boundary of ``_SEGMENT_ODDS`` odd
+numbers.  A ``pi`` query costs one checkpoint lookup plus a popcount over
+at most one segment of bits.  :meth:`PrimeTable.primes_to` hands the window
+sieves their sieving primes as one int64 array, cached and grown on demand.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -36,14 +35,16 @@ from typing import Iterator
 
 import numpy as np
 
-# Largest supported table; the constraint is build time and the transient
-# boolean chunk, not the packed storage (2**31 packs into 128 MiB).
+# Largest supported table; the constraint is build time, not the packed
+# storage (2**31 packs into 128 MiB).
 MAX_LIMIT = 2**31
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# Odd numbers per pi checkpoint: a segment of 2^20 integers.
+_SEGMENT_ODDS = 1 << 19
 
-# Construction chunk: sieve this many odd indices per numpy pass.
-_BUILD_CHUNK_ODDS = 1 << 24
+# Odd numbers sieved per numpy pass; a multiple of _SEGMENT_ODDS, so that a
+# table's chunks split into whole segments.
+_CHUNK_ODDS = 1 << 24
 
 
 class TableLimitError(ValueError):
@@ -66,79 +67,100 @@ def _small_odd_primes(limit: int) -> list[int]:
     return (np.flatnonzero(sieve)[1:]).tolist()  # drop 2
 
 
+def _odd_flags(o_lo: int, o_hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(o, flags)`` per chunk of the odd indices o_lo <= i < o_hi:
+    ``flags[j]`` is True iff the odd number 2(o + j) + 1 is prime.  Every
+    chunk is sieved in the same buffer, so ``flags`` holds only until the
+    next chunk is asked for."""
+    if o_hi <= o_lo:
+        return
+    base = _small_odd_primes(isqrt(2 * o_hi - 1))
+    buf = np.empty(min(_CHUNK_ODDS, o_hi - o_lo), dtype=bool)
+    for o in range(o_lo, o_hi, _CHUNK_ODDS):
+        size = min(_CHUNK_ODDS, o_hi - o)
+        flags = buf[:size]
+        flags[:] = True
+        if o == 0:
+            flags[0] = False  # the number 1
+        lo_num = 2 * o + 1
+        for p in base:
+            start = max(p * p, ((lo_num + p - 1) // p) * p)
+            if start % 2 == 0:
+                start += p
+            i0 = (start - 1) // 2 - o
+            if i0 < size:
+                flags[i0::p] = False
+        yield o, flags
+
+
+def segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi], ascending, as int64 arrays: the prime 2
+    on its own when the range holds it, then one array per sieve chunk."""
+    lo, hi = max(int(lo), 2), int(hi)
+    if hi < lo:
+        return
+    if lo == 2:
+        yield np.array([2], dtype=np.int64)
+    for o, flags in _odd_flags(lo // 2, (hi + 1) // 2):
+        yield 2 * (np.flatnonzero(flags) + o) + 1
+
+
+def _joined(lo: int, hi: int) -> np.ndarray:
+    """All primes in [lo, hi] as one int64 array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *segments(lo, hi)])
+
+
+def bounding_primes(lo: int, hi: int) -> np.ndarray:
+    """The consecutive primes around every gap whose closing prime lies in
+    (lo, hi]: from the largest prime <= lo (2 when lo <= 2) up to hi."""
+    lo = max(int(lo), 2)
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64)
+    back = 64
+    while not len(below := _joined(lo - back, lo)):  # [2, lo] holds 2
+        back *= 2
+    return np.concatenate([below[-1:], _joined(lo + 1, hi)])
+
+
 class PrimeTable:
     """Immutable primality/counting store for all integers up to ``limit``.
 
     Safe for concurrent reads once constructed; construction itself has no
     observable intermediate state (the constructor either returns a complete
-    table or raises).  The two lazy caches (theta checkpoints, prime list)
-    are idempotent, so racing readers at worst duplicate work.
+    table or raises).  The lazy cache of sieving primes is idempotent, so
+    racing readers at worst duplicate work.
     """
 
-    def __init__(self, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
+    def __init__(self, limit: int):
         limit = int(limit)
         if not 2 <= limit <= MAX_LIMIT:
             raise ValueError(
                 f"table limit must be in [2, {MAX_LIMIT}], got {limit}"
             )
-        if segment_size % 16 != 0 or segment_size < 16:
-            raise ValueError("segment_size must be a positive multiple of 16")
         self.limit = limit
-        self.segment_size = int(segment_size)
-        self._seg_odds = self.segment_size // 2
         self._build()
-        self._theta_cum: np.ndarray | None = None
-        self._plist: list[int] = []  # cached prefix of the prime sequence
-        self._plist_bound = 1
-
-    # -- construction ------------------------------------------------------
+        self._primes = np.empty(0, dtype=np.int64)  # the primes <= _primes_bound
+        self._primes_bound = 1
 
     def _build(self) -> None:
-        limit = self.limit
-        n_odds = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
-        seg_odds = self._seg_odds
-        n_segs = (n_odds + seg_odds - 1) // seg_odds
-        base = _small_odd_primes(isqrt(limit))
-
-        bits = np.zeros((n_odds + 7) // 8, dtype=np.uint8)
-        seg_counts = np.zeros(n_segs, dtype=np.int64)
-
-        chunk = max(seg_odds, _BUILD_CHUNK_ODDS)
-        for o_lo in range(0, n_odds, chunk):
-            o_hi = min(o_lo + chunk, n_odds)
-            size = o_hi - o_lo
-            arr = np.ones(size, dtype=bool)
-            if o_lo == 0:
-                arr[0] = False  # the number 1
-            lo_num = 2 * o_lo + 1
-            for p in base:
-                start = max(p * p, ((lo_num + p - 1) // p) * p)
-                if start % 2 == 0:
-                    start += p
-                i0 = (start - 1) // 2 - o_lo
-                if i0 < size:
-                    arr[i0::p] = False
-            # trailing odd slots beyond n_odds never exist: o_hi clips them
-            pad = (-size) % 8
-            if pad:
-                arr = np.concatenate([arr, np.zeros(pad, dtype=bool)])
-            bits[o_lo // 8 : o_lo // 8 + len(arr) // 8] = np.packbits(
-                arr, bitorder="little"
+        n_odds = (self.limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
+        bits = np.empty((n_odds + 7) // 8, dtype=np.uint8)
+        seg_counts = np.empty(-(-n_odds // _SEGMENT_ODDS), dtype=np.int64)
+        seg_bytes = _SEGMENT_ODDS // 8
+        for o, flags in _odd_flags(0, n_odds):
+            packed = np.packbits(flags, bitorder="little")  # zero-padded
+            bits[o // 8 : o // 8 + len(packed)] = packed
+            sums = np.add.reduceat(
+                np.bitwise_count(packed),
+                np.arange(0, len(packed), seg_bytes),
+                dtype=np.int64,
             )
-            # per-segment counts inside this chunk
-            first_seg = o_lo // seg_odds
-            edges = np.arange(0, size, seg_odds)
-            sums = np.add.reduceat(arr[:size].astype(np.int64), edges)
-            seg_counts[first_seg : first_seg + len(sums)] += sums
-
+            s = o // _SEGMENT_ODDS
+            seg_counts[s : s + len(sums)] = sums
         # checkpoint_counts[s] = pi(end of segment s); the final entry is
         # pi(limit).  The +1 is the prime 2, which lives outside the odd bits.
         self._bits = bits
         self.checkpoint_counts = 1 + np.cumsum(seg_counts)
-        self._n_odds = n_odds
-        self._n_segs = n_segs
-
-    # -- point queries -----------------------------------------------------
 
     def _check_range(self, x: float, what: str = "argument") -> None:
         if x < 0 or x > self.limit:
@@ -168,135 +190,40 @@ class PrimeTable:
         if xi == 2:
             return 1
         i = (xi - 1) // 2  # index of the largest odd number <= xi
-        s = i // self._seg_odds
+        s = i // _SEGMENT_ODDS
         base = int(self.checkpoint_counts[s - 1]) if s > 0 else 1
-        b0 = (s * self._seg_odds) >> 3
+        b0 = (s * _SEGMENT_ODDS) >> 3
         b1 = i >> 3
         count = int(np.bitwise_count(self._bits[b0:b1]).sum(dtype=np.int64))
         mask = (1 << ((i & 7) + 1)) - 1
         count += int(self._bits[b1] & mask).bit_count()
         return base + count
 
-    def pi_bulk(self, xs) -> np.ndarray:
-        """pi at many points; duplicates are answered once."""
-        xs = np.asarray(xs)
-        uniq, inv = np.unique(xs, return_inverse=True)
-        vals = np.fromiter(
-            (self.pi(float(u)) for u in uniq), dtype=np.int64, count=len(uniq)
-        )
-        return vals[inv].reshape(xs.shape)
+    def primes_to(self, bound: float) -> np.ndarray:
+        """Primes <= bound, ascending, as an int64 array.
 
-    def nth_prime(self, t: int) -> int:
-        t = int(t)
-        total = int(self.checkpoint_counts[-1])
-        if not 1 <= t <= total:
-            raise ValueError(f"t must be in [1, pi(limit)] = [1, {total}], got {t}")
-        if t == 1:
-            return 2
-        s = int(np.searchsorted(self.checkpoint_counts, t, side="left"))
-        before = int(self.checkpoint_counts[s - 1]) if s > 0 else 1
-        rank = t - before  # rank among odd primes of segment s, 1-based
-        odd = self._segment_odd_indices(s)
-        return int(2 * odd[rank - 1] + 1)
-
-    # -- enumeration -------------------------------------------------------
-
-    def _segment_odd_indices(self, s: int) -> np.ndarray:
-        """Global odd indices of primes in segment s."""
-        o_lo = s * self._seg_odds
-        o_hi = min(o_lo + self._seg_odds, self._n_odds)
-        raw = np.unpackbits(
-            self._bits[o_lo >> 3 : (o_hi + 7) >> 3], bitorder="little"
-        )[: o_hi - o_lo]
-        return np.flatnonzero(raw) + o_lo
-
-    def iter_prime_segments(self, a: int, b: int) -> Iterator[np.ndarray]:
-        """Yield primes in [a, b] as one int64 array per overlapped segment."""
-        a = max(int(a), 2)
-        b = int(b)
-        self._check_range(b, "upper bound")
-        if b < a:
-            return
-        if a <= 2:
-            yield np.array([2], dtype=np.int64)
-        s0 = ((a - 1) // 2) // self._seg_odds
-        s1 = ((b - 1) // 2) // self._seg_odds
-        for s in range(s0, s1 + 1):
-            nums = 2 * self._segment_odd_indices(s) + 1
-            if s == s0:
-                nums = nums[nums >= a]
-            if s == s1:
-                nums = nums[nums <= b]
-            if len(nums):
-                yield nums
-
-    def primes_in(self, a: int, b: int) -> np.ndarray:
-        """All primes in [a, b], ascending, as an int64 array."""
-        parts = list(self.iter_prime_segments(a, b))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def prev_prime(self, x: int) -> int:
-        """Largest prime <= x; raises if there is none."""
-        n = self.pi(x)
-        if n == 0:
-            raise ValueError(f"no prime <= {x}")
-        return self.nth_prime(n)
-
-    def prime_list(self, bound: int) -> list[int]:
-        """Primes <= bound as a plain list; cached and grown on demand.
-
-        Serves the hot inner loops (interval sieving) that call for the same
-        small prefix of the primes over and over.
+        The array is a view of one cached array that is grown on demand, so
+        the window sieves that ask for the same small prefix over and over
+        neither re-sieve nor copy it.
         """
-        self._check_range(bound, "prime list bound")
-        if self._plist_bound < bound:
+        self._check_range(max(bound, 0), "prime list bound")
+        if self._primes_bound < bound:
             # grow generously to amortize repeated slightly-larger requests
-            grow = min(self.limit, max(2 * bound, 1 << 16))
-            self._plist = self.primes_in(2, grow).tolist()
-            self._plist_bound = grow
-        return self._plist[: bisect.bisect_right(self._plist, bound)]
-
-    # -- Chebyshev theta ---------------------------------------------------
-
-    def _ensure_theta(self) -> None:
-        if self._theta_cum is not None:
-            return
-        cum = np.empty(self._n_segs, dtype=np.float64)
-        total, comp = 0.0, 0.0  # Kahan across segments
-        for s in range(self._n_segs):
-            nums = 2.0 * self._segment_odd_indices(s) + 1.0
-            part = float(np.log(nums).sum())
-            if s == 0:
-                part += math.log(2.0)
-            y = part - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            cum[s] = total
-        self._theta_cum = cum
-
-    def theta(self, x: float) -> float:
-        """Chebyshev theta(x) = sum of log p over primes p <= x."""
-        self._check_range(x)
-        xi = math.floor(x)
-        if xi < 2:
-            return 0.0
-        self._ensure_theta()
-        i = (xi - 1) // 2
-        s = i // self._seg_odds
-        base = float(self._theta_cum[s - 1]) if s > 0 else 0.0
-        nums = 2.0 * self._segment_odd_indices(s) + 1.0
-        part = float(np.log(nums[nums <= xi]).sum())
-        if s == 0:
-            part += math.log(2.0)
-        return base + part
+            grow = min(self.limit, max(2 * int(bound), 1 << 16))
+            # filled in place: joining the chunks would hold every prime twice
+            primes = np.empty(self.pi(grow), dtype=np.int64)
+            n = 0
+            for seg in segments(2, grow):
+                primes[n : n + len(seg)] = seg
+                n += len(seg)
+            primes.flags.writeable = False  # callers get views of the cache
+            self._primes, self._primes_bound = primes, grow
+        return self._primes[: np.searchsorted(self._primes, bound, side="right")]
 
 
-def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Build a :class:`PrimeTable` answering queries up to ``limit`` exactly."""
-    return PrimeTable(limit, segment_size)
+    return PrimeTable(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +240,6 @@ class GapRecord:
     gap: int
     cramer_bound: float  # 1 + (log p)**2
 
-    @property
-    def violates(self) -> bool:
-        return self.gap >= self.cramer_bound
-
 
 @dataclass(frozen=True)
 class GapScanSummary:
@@ -327,16 +250,10 @@ class GapScanSummary:
     max_gap_p: int
 
 
-def gap_check(limit: int, table: PrimeTable, lo: int = 2) -> GapScanSummary:
+def gap_check(limit: int, lo: int = 2) -> GapScanSummary:
     """Gap scan over the pairs whose second prime lies in (lo, limit];
     collects only the (expected empty) violations."""
-    if limit > table.limit:
-        raise TableLimitError(
-            f"gap scan to {limit} exceeds table limit {table.limit}", required=limit
-        )
-    lo = max(int(lo), 2)
-    # pairs close at primes > lo, so enumeration opens at the prime <= lo
-    ps = table.primes_in(table.prev_prime(lo), limit) if limit > lo else []
+    ps = bounding_primes(lo, limit)
     if len(ps) < 2:
         return GapScanSummary(limit, 0, (), 0, 0)
     p, q, gap = ps[:-1], ps[1:], np.diff(ps)
@@ -371,7 +288,7 @@ class DusartReport:
         return not self.pi_violations and not self.theta_violations
 
 
-def check_dusart(limit: int, table: PrimeTable) -> DusartReport:
+def check_dusart(limit: int) -> DusartReport:
     """Check pi(x) < (x/log x)(1 + 1.2762/log x) at every integer x in (1, limit]
     and theta(x) <= 1.00008 x for all real x in (0, limit].
 
@@ -379,11 +296,6 @@ def check_dusart(limit: int, table: PrimeTable) -> DusartReport:
     increases, so the second inequality holds on all of (0, limit] iff it
     holds at every prime <= limit; the scan checks exactly those points.
     """
-    if limit > table.limit:
-        raise TableLimitError(
-            f"dusart check to {limit} exceeds table limit {table.limit}",
-            required=limit,
-        )
     pi_bad: list[int] = []
     pi_slack = math.inf
     th_bad: list[int] = []
@@ -398,7 +310,7 @@ def check_dusart(limit: int, table: PrimeTable) -> DusartReport:
         hi = min(lo + block - 1, limit)
         xs = np.arange(lo, hi + 1, dtype=np.int64)
         isp = np.zeros(len(xs), dtype=np.int64)
-        for seg in table.iter_prime_segments(lo, hi):
+        for seg in segments(lo, hi):
             isp[seg - lo] = 1
         pis = pi_base + np.cumsum(isp)
         pi_base = int(pis[-1])
@@ -434,23 +346,3 @@ def check_dusart(limit: int, table: PrimeTable) -> DusartReport:
         theta_violations=tuple(th_bad),
         theta_min_slack=th_slack,
     )
-
-
-def check_stirling_factorial(k_max: int = 1000) -> list[int]:
-    """k where k! > sqrt(2 pi k) e^{-k} k^k e^{1/(12k+1)} fails on 2..k_max.
-
-    Uses log-gamma on both sides; the slack is orders of magnitude above
-    double-precision noise for every k >= 2, so an empty list is meaningful.
-    """
-    bad = []
-    for k in range(2, k_max + 1):
-        lhs = math.lgamma(k + 1)
-        rhs = (
-            0.5 * math.log(2 * math.pi * k)
-            - k
-            + k * math.log(k)
-            + 1.0 / (12 * k + 1)
-        )
-        if not lhs > rhs:
-            bad.append(k)
-    return bad

@@ -180,13 +180,3 @@ def scaled_intervals_disjoint(n: int, k: int, j_max: int) -> int | None:
     if (j_max - 1) * k < n:
         return None
     return -(-n // k)  # smallest j with j*k >= n
-
-
-def remainder_exponent_ok(alpha: float, delta: float) -> bool:
-    """True when 1 - 3*alpha/2 + 3*delta/2 < alpha.
-
-    The sieve remainder in the window estimates carries the exponent on the
-    left; the check confirms a (alpha, delta) pair keeps it below the main
-    term's exponent alpha.
-    """
-    return 1.0 - 1.5 * alpha + 1.5 * delta < alpha

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is deliberately naive: trial division, exhaustive
-backtracking, direct recursion.  None of it shares code with the package,
-except :func:`verify_grimm`, the full-matching reference for the run
-verification, which decides every run with the library's own matching.
+Everything here is deliberately naive: trial division, a dense sieve,
+exhaustive backtracking, direct recursion.  None of it shares code with the
+package, except :func:`verify_grimm`, the full-matching reference for the
+run verification, which lists its runs from its own sieve but decides every
+run with the library's own matching.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ def trial_primes(limit: int) -> list[int]:
         if all(n % d for d in range(2, isqrt(n) + 1)):
             out.append(n)
     return out
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit by a plain dense sieve of Eratosthenes."""
+    sieve = np.ones(max(limit + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
 
 
 def trial_factorization(n: int) -> dict[int, int]:
@@ -102,7 +113,7 @@ def verify_grimm(limit: int, table: PrimeTable) -> Iterator[GrimmRunReport]:
     factors collide; this decides every run, so it is the reference the
     summary's counts and failures are checked against.
     """
-    ps = table.primes_in(2, limit).tolist()
+    ps = sieve_primes(limit).tolist()
     for p, q in zip(ps, ps[1:]):
         if q - p > 1:
             yield GrimmRunReport(p, q - p - 1, has_representation(p, q - p - 1, table))

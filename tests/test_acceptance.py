@@ -212,8 +212,8 @@ def test_criterion_10_exponent_constant():
     )
 
 
-def test_criterion_11_dusart_1e6(table_1e6):
-    rep = check_dusart(10**6, table_1e6)
+def test_criterion_11_dusart_1e6():
+    rep = check_dusart(10**6)
     ok = rep.ok
     _report(
         11,

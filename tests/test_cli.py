@@ -174,6 +174,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["verify-grimm", "--limit", "-5"], "--limit"),
         (["gap-scan", "--limit", "0"], "--limit"),
         (["dusart-check", "--limit", "-1"], "--limit"),
+        # the scans stop at 2^31 without a table to enforce it
+        (["verify-grimm", "--limit", str(2**31 + 1)], "--limit"),
+        (["gap-scan", "--limit", str(2**31 + 1)], "--limit"),
+        (["dusart-check", "--limit", str(2**31 + 1)], "--limit"),
         (["psi", "--x", "10", "--y", "nan"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
@@ -203,8 +207,9 @@ def test_table_limit_too_small_is_resource_error(tmp_path):
 def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):
     # x = 1e8, alpha = 1/3: W = 464 and isqrt(x + W) + 1 = 10,001, which the
     # manifest records even after an in-process call cached a larger table
+    # (31,623 for the window of 1e9)
     monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
-    assert invoke(["verify-grimm", "--limit", "1000000"], tmp_path)[0] == 0
+    assert invoke(["represent", "--n", "1000000000", "--k", "3"], tmp_path)[0] == 0
     argv = ["ram-sum", "--x", "100000000", "--alpha", str(1 / 3)]
     mpath = tmp_path / "rs.manifest.json"
     code, out = invoke(argv, tmp_path, manifest=mpath)
@@ -264,11 +269,18 @@ def test_one_shard_runs_in_process(tmp_path, monkeypatch):
 def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
     import grimmsmooth.cli as cli
 
-    argv = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--stride", "3"]
-    base = invoke(argv + ["--workers", "1"], tmp_path)
-    monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 8 shards of 384 values
-    assert invoke(argv + ["--workers", "1"], tmp_path) == base
-    assert invoke(argv + ["--workers", "2"], tmp_path) == base
+    scan = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4", "--stride", "3"]
+    # 157 shards of 128 values each look back for the prime that opens
+    # their first gap
+    verify = ["verify-grimm", "--limit", "20000"]
+    gaps = ["gap-scan", "--limit", "20000"]
+    bases = [invoke(argv + ["--workers", "1"], tmp_path) for argv in (scan, verify, gaps)]
+    assert bases[1][1] == "limit,runs,failures,max_k,max_k_p\n20000,2260,0,51,19609\n"
+    assert bases[2][1] == "limit,pairs,violations,max_gap,max_gap_p\n20000,2261,0,52,19609\n"
+    monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 8 exceptional-scan shards of 384 values
+    for argv, base in zip((scan, verify, gaps), bases):
+        assert invoke(argv + ["--workers", "1"], tmp_path) == base, argv
+        assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
 
 
 def test_manifest_written_and_replayable(tmp_path):
@@ -364,7 +376,7 @@ def test_exit_1_when_a_bound_breaks(tmp_path, monkeypatch):
         limit=100, pi_points_checked=99, pi_violations=(42,), pi_min_slack=-1.0,
         theta_primes_checked=25, theta_violations=(), theta_min_slack=1.0,
     )
-    monkeypatch.setattr(cli, "check_dusart", lambda limit, table: fake)
+    monkeypatch.setattr(cli, "check_dusart", lambda limit: fake)
     code, out = invoke(["dusart-check", "--limit", "100"], tmp_path)
     assert code == 1
     assert out.splitlines()[1].startswith("pi_upper,100,99,1,")

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grimmsmooth import (
     GapScanSummary,
     TableLimitError,
     build_table,
     check_dusart,
-    check_stirling_factorial,
     gap_check,
+    segments,
 )
-from oracles import trial_primes
+from grimmsmooth import primes as primes_mod
+from oracles import sieve_primes, trial_primes
 
 TRIAL_1E4 = trial_primes(10_000)
+DENSE_1E6 = sieve_primes(10**6)
 
 
 def test_build_rejects_bad_limits():
@@ -30,7 +34,7 @@ def test_tiny_tables():
     t = build_table(10)
     assert t.pi(2) == 1
     assert t.pi(10) == 4
-    assert math.isclose(t.theta(10), sum(math.log(p) for p in (2, 3, 5, 7)))
+    assert t.primes_to(10).tolist() == [2, 3, 5, 7]
 
 
 def test_pi_matches_trial_division_exhaustively(table_1e4):
@@ -64,14 +68,6 @@ def test_pi_is_a_step_function(table_1e4):
         prev = cur
 
 
-def test_pi_bulk_agrees(table_1e6):
-    rng = np.random.default_rng(7)
-    xs = rng.integers(0, 10**6, size=300)
-    vals = table_1e6.pi_bulk(xs)
-    for x, v in zip(xs, vals):
-        assert table_1e6.pi(int(x)) == v
-
-
 def test_pi_out_of_range_raises(table_1e4):
     with pytest.raises(TableLimitError):
         table_1e4.pi(10_001)
@@ -83,25 +79,26 @@ def test_pi_against_sympy(table_1e6):
     rng = np.random.default_rng(13)
     for x in rng.integers(2, 10**6, size=25):
         assert table_1e6.pi(int(x)) == int(sympy.primepi(int(x)))
+    ps = table_1e6.primes_to(10**6)
     for t in (1, 100, 9999, 78498):
-        assert table_1e6.nth_prime(t) == int(sympy.prime(t))
+        assert ps[t - 1] == int(sympy.prime(t))
 
 
-def test_nth_prime_inverse_of_pi(table_1e5):
-    # nth_prime(pi(p)) == p for every prime p <= 1e5
-    for seg in table_1e5.iter_prime_segments(2, 100_000):
-        for p in seg.tolist():
-            assert table_1e5.nth_prime(table_1e5.pi(p)) == p
+def test_pi_inverts_primes_to(table_1e5):
+    # pi(p) is the 1-based position of p in the prime list, for every p <= 1e5
+    ps = table_1e5.primes_to(100_000).tolist()
+    assert [table_1e5.pi(p) for p in ps] == list(range(1, len(ps) + 1))
 
 
-def test_nth_prime_examples(table_1e4):
-    assert table_1e4.nth_prime(1) == 2
-    assert table_1e4.nth_prime(4) == 7
-    assert table_1e4.nth_prime(25) == 97
-    with pytest.raises(ValueError):
-        table_1e4.nth_prime(0)
-    with pytest.raises(ValueError):
-        table_1e4.nth_prime(table_1e4.pi(10_000) + 1)
+def test_primes_to_examples(table_1e4):
+    ps = table_1e4.primes_to(10_000)
+    assert (ps[0], ps[3], ps[24]) == (2, 7, 97)
+    assert ps.dtype == np.int64 and ps.tolist() == TRIAL_1E4
+    assert not ps.flags.writeable  # a view of the table's cache
+    assert table_1e4.primes_to(96.5).tolist() == TRIAL_1E4[:24]
+    assert table_1e4.primes_to(1).tolist() == []
+    with pytest.raises(TableLimitError):
+        table_1e4.primes_to(10_001)
 
 
 def test_checkpoints_nondecreasing_and_total(table_1e6):
@@ -110,54 +107,54 @@ def test_checkpoints_nondecreasing_and_total(table_1e6):
     assert cc[-1] == table_1e6.pi(10**6) == 78498
 
 
-def test_primes_in(table_1e4):
-    assert table_1e4.primes_in(2, 30).tolist() == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-    ]
-    assert table_1e4.primes_in(90, 100).tolist() == [97]
-    assert table_1e4.primes_in(200, 100).tolist() == []
-    # spans a segment boundary on a small segment size
-    t = build_table(10_000, segment_size=1 << 10)
-    assert t.primes_in(2, 10_000).tolist() == TRIAL_1E4
+def test_pi_across_small_segments(monkeypatch):
+    # 64 odd numbers per checkpoint and 256 per build chunk: pi at every
+    # x <= 1e4 crosses 79 checkpoints and 20 chunk boundaries
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 64)
+    monkeypatch.setattr(primes_mod, "_CHUNK_ODDS", 256)
+    t = build_table(10_000)
+    assert len(t.checkpoint_counts) == 79
+    counts = np.searchsorted(TRIAL_1E4, np.arange(10_001), side="right")
+    assert [t.pi(x) for x in range(10_001)] == counts.tolist()
+    assert t.primes_to(10_000).tolist() == TRIAL_1E4
 
 
-def test_theta_values(table_1e4):
-    assert table_1e4.theta(1) == 0.0
-    assert math.isclose(table_1e4.theta(2), math.log(2))
-    expect = sum(math.log(p) for p in TRIAL_1E4 if p <= 100)
-    assert math.isclose(table_1e4.theta(100), expect, rel_tol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 10**6)),
+    span=st.integers(-2, 5000),
+    chunk=st.sampled_from([8, 64, 1 << 24]),
+)
+def test_segments_match_dense_sieve(lo, span, chunk):
+    # a chunk of 8 or 64 odd numbers makes most ranges cross several chunks
+    hi = min(lo + span, 10**6)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(primes_mod, "_CHUNK_ODDS", chunk)
+        parts = list(segments(lo, hi))
+    assert all(p.dtype == np.int64 for p in parts)
+    got = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+    ref = DENSE_1E6[(DENSE_1E6 >= lo) & (DENSE_1E6 <= hi)]
+    assert got.tolist() == ref.tolist()
 
 
-def test_theta_increments_are_log_of_primes(table_1e4):
-    prime_set = set(TRIAL_1E4)
-    prev = 0.0
-    for x in range(2, 10_001):
-        cur = table_1e4.theta(x)
-        inc = cur - prev
-        if x in prime_set:
-            assert math.isclose(inc, math.log(x), rel_tol=1e-9)
-        else:
-            assert inc == 0.0
-        prev = cur
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_primes_to_matches_dense_sieve(table_1e6, bound):
+    ref = DENSE_1E6[DENSE_1E6 <= bound]
+    assert table_1e6.primes_to(bound).tolist() == ref.tolist()
 
 
-def test_theta_accuracy_budget(table_1e6):
-    # direct numpy sum as reference; budget is 1e-9 * pi(x)
-    ref = float(np.log(table_1e6.primes_in(2, 10**6).astype(float)).sum())
-    assert abs(table_1e6.theta(10**6) - ref) <= 1e-9 * table_1e6.pi(10**6)
-
-
-def test_gap_check_small_limits(table_1e4):
-    assert gap_check(10, table_1e4) == GapScanSummary(10, 3, (), 2, 3)
-    assert gap_check(3, table_1e4) == GapScanSummary(3, 1, (), 1, 2)
+def test_gap_check_small_limits():
+    assert gap_check(10) == GapScanSummary(10, 3, (), 2, 3)
+    assert gap_check(3) == GapScanSummary(3, 1, (), 1, 2)
     # only the pairs closing above lo: (5, 7)
-    assert gap_check(10, table_1e4, lo=5) == GapScanSummary(10, 1, (), 2, 5)
-    assert gap_check(2, table_1e4) == GapScanSummary(2, 0, (), 0, 0)
+    assert gap_check(10, lo=5) == GapScanSummary(10, 1, (), 2, 5)
+    assert gap_check(2) == GapScanSummary(2, 0, (), 0, 0)
 
 
-def test_gap_check_matches_stream(table_1e4):
+def test_gap_check_matches_stream():
     # against the consecutive differences of the trial-division primes
-    s = gap_check(10_000, table_1e4)
+    s = gap_check(10_000)
     gaps = [q - p for p, q in zip(TRIAL_1E4, TRIAL_1E4[1:])]
     assert s.pairs == len(gaps)
     assert s.max_gap == max(gaps)
@@ -168,38 +165,36 @@ def test_gap_check_matches_stream(table_1e4):
     assert len(s.violations) == 0
 
 
-def test_gap_check_range_split(table_1e6):
+def test_gap_check_range_split():
     # sharded scans stitch to the same totals as one scan
-    whole = gap_check(10**6, table_1e6)
-    a = gap_check(500_000, table_1e6)
-    b = gap_check(10**6, table_1e6, lo=500_000)
+    whole = gap_check(10**6)
+    a = gap_check(500_000)
+    b = gap_check(10**6, lo=500_000)
     assert a.pairs + b.pairs == whole.pairs
     assert max(a.max_gap, b.max_gap) == whole.max_gap
 
 
-def test_dusart_examples(table_1e4):
-    rep = check_dusart(1000, table_1e4)
+def test_dusart_examples():
+    rep = check_dusart(1000)
     assert rep.ok
     assert rep.pi_points_checked == 999  # integers 2..1000
     # direct evaluations
     assert 1 < (2 / math.log(2)) * (1 + 1.2762 / math.log(2))
-    assert table_1e4.theta(10) <= 1.00008 * 10
+    assert math.log(2 * 3 * 5 * 7) <= 1.00008 * 10
 
 
-def test_dusart_clean_to_1e6(table_1e6):
-    rep = check_dusart(10**6, table_1e6)
+def test_dusart_theta_matches_direct_sum():
+    # the running theta of the scan against math.fsum of log p at every
+    # prime p <= 1e4: the same prime count and minimum slack
+    rep = check_dusart(10_000)
+    logs = [math.log(p) for p in TRIAL_1E4]
+    slack = min(1.00008 * p - math.fsum(logs[: i + 1]) for i, p in enumerate(TRIAL_1E4))
+    assert rep.theta_primes_checked == len(TRIAL_1E4)
+    assert math.isclose(rep.theta_min_slack, slack, rel_tol=1e-9)
+
+
+def test_dusart_clean_to_1e6():
+    rep = check_dusart(10**6)
     assert rep.ok
     assert rep.pi_min_slack > 0
     assert rep.theta_min_slack > 0
-
-
-def test_stirling_lower_bound_holds():
-    assert check_stirling_factorial(1000) == []
-
-
-def test_factorial_bound_is_what_it_claims():
-    # spot-check the inequality statement itself at k=2 with plain floats
-    k = 2
-    lhs = math.factorial(k)
-    rhs = math.sqrt(2 * math.pi * k) * math.exp(-k) * k**k * math.exp(1 / (12 * k + 1))
-    assert lhs > rhs

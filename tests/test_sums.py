@@ -14,7 +14,6 @@ from grimmsmooth import (
     phi_sum,
     r_d,
     ram_sum,
-    remainder_exponent_ok,
     scaled_intervals_disjoint,
     window_exponent_floor,
 )
@@ -231,13 +230,6 @@ def test_scaled_intervals_disjoint_matches_interval_geometry():
             Fraction(n + k, j + 1) < Fraction(n, j) for j in range(1, j_max)
         )
         assert (first_bad is None) == ok
-
-
-def test_remainder_exponent_check():
-    # the admissible instantiation: alpha=(1-l)/2, delta=4l at l=1/30
-    lam = 1 / 30
-    assert remainder_exponent_ok((1 - lam) / 2, 4 * lam)
-    assert not remainder_exponent_ok(0.4, 0.4)
 
 
 def test_window_density_across_decades(table_1e4):
