@@ -33,7 +33,8 @@ from .dickman import MAX_T, build_rho_table, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
 from .primes import MAX_LIMIT, PrimeTable, TableLimitError, check_dusart, gap_check, segments
 from .smooth import (
-    ExceptionalScanReport, exceptional_scan, grimm_upper_bound, psi, psi_window, scan_c0,
+    PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound, psi,
+    psi_window, scan_c0,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -116,8 +117,12 @@ def _env_int(name: str) -> int | None:
 
 def _resolve_env(args) -> None:
     """Read the environment defaults once, onto ``args``."""
-    workers = args.workers if args.workers is not None else _env_int(ENV_WORKERS)
-    args.worker_count = (os.cpu_count() or 1) if workers is None else max(1, workers)
+    workers = args.workers
+    if workers is None:
+        workers = _env_int(ENV_WORKERS)
+        if workers is not None and workers < 1:
+            raise ValueError(f"{ENV_WORKERS} must be positive, got {workers}")
+    args.worker_count = (os.cpu_count() or 1) if workers is None else workers
     args.table_floor = _env_int(ENV_TABLE_LIMIT)
     args.table_limit_used = None
 
@@ -225,6 +230,11 @@ def _gap_shard(bounds, table):
             [r.p, r.next_p, r.gap, r.cramer_bound] for r in s.violations
         ],
     }
+
+
+def _psi_shard(payload, table):
+    lo, hi, y = payload
+    return psi(hi, y, table, lo=lo)
 
 
 def _scan_shard(payload, table):
@@ -360,9 +370,18 @@ def _h_dusart(args):
 
 
 def _h_psi(args):
-    required = min(int(args.y), isqrt(args.x)) if args.x else 2
-    table = _get_table(required, args)
-    return [{"x": args.x, "y": args.y, "psi": psi(args.x, args.y, table)}], 0
+    table = _get_table(min(int(args.y), isqrt(args.x)), args)
+    shards = [
+        (a, min(a + SHARD_SPAN, args.x), args.y) for a in range(0, args.x, SHARD_SPAN)
+    ]
+    meta = {
+        "cmd": "psi", "x": args.x, "y": args.y, "span": SHARD_SPAN,
+        "version": __version__,
+    }
+    parts = _run_shards(
+        shards, _psi_shard, table, args.worker_count, args.checkpoint, meta
+    )
+    return [{"x": args.x, "y": args.y, "psi": sum(parts)}], 0
 
 
 def _h_psi_window(args):
@@ -526,6 +545,7 @@ _finite_float = _checked(float, math.isfinite, "finite")
 _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 # the range scans stay within 2^31, the range they are tested on
 _scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
+_psi_x = _checked(int, lambda v: 0 <= v <= PSI_MAX_X, f"in [0, {PSI_MAX_X}]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=_positive(int), default=None)
         p.add_argument("--table-limit", type=int, default=None)
         p.add_argument(
             "--manifest",
@@ -556,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = add("represent", _h_represent, help="decide one (n, k) window with certificate")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive(int), required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = add("verify-grimm", _h_verify_grimm, help="verify all composite runs below limit")
@@ -572,8 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_scan_limit, required=True)
 
     p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_psi_x, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--checkpoint", default=None)
 
     p = add("psi-window", _h_psi_window, help="smooth count in (x, x+z]")
     p.add_argument("--x", type=int, required=True)

@@ -63,15 +63,25 @@ def _n_dense(count: int, primes: np.ndarray) -> int:
     return int(np.searchsorted(primes, count // _DENSE_HITS, side="right"))
 
 
+# Primes filtered per slice in _hits: bounds its remainder temporary at
+# 512 KiB however many primes the window sieves with.
+_HIT_SLICE = 1 << 16
+
+
 def _hits(lo: int, count: int, primes: np.ndarray):
     """``(rows, ps)``: every multiple lo+rows[t] of ps[t] in the block of
     ``count`` values from lo, for each of ``primes``, grouped by prime in the
     given order and ascending within a prime."""
-    first = -lo % primes
-    # primes with no multiple in the block drop out first, so every later
-    # temporary has the size of the hit list, not of ``primes``
-    hit = first < count
-    ps, first = primes[hit], first[hit]
+    # primes with no multiple in the block drop out first, one slice of
+    # ``primes`` at a time, so every temporary has the size of a slice or of
+    # the hit list, not of ``primes``
+    kept = []
+    for s in range(0, max(len(primes), 1), _HIT_SLICE):
+        part = primes[s : s + _HIT_SLICE]
+        first = -lo % part
+        hit = first < count
+        kept.append((part[hit], first[hit]))
+    ps, first = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
     nhit = (count - 1 - first) // ps + 1
     start = np.cumsum(nhit) - nhit
     rep = np.repeat(ps, nhit)

@@ -23,7 +23,8 @@ Odd numbers 1, 3, 5, ... map to bit indices 0, 1, 2, ... (number ``2*i + 1``
 cumulative prime count stored at every boundary of ``_SEGMENT_ODDS`` odd
 numbers.  A ``pi`` query costs one checkpoint lookup plus a popcount over
 at most one segment of bits.  :meth:`PrimeTable.primes_to` hands the window
-sieves their sieving primes as one int64 array, cached and grown on demand.
+sieves their sieving primes as one int64 array, read off those bits, cached
+and grown on demand.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ MAX_LIMIT = 2**31
 _SEGMENT_ODDS = 1 << 19
 
 # Odd numbers sieved per numpy pass; a multiple of _SEGMENT_ODDS, so that a
-# table's chunks split into whole segments.
-_CHUNK_ODDS = 1 << 24
+# table's chunks split into whole segments.  Its 1 MiB of flags stays in a
+# core's L2 cache while every base prime strides over it: walking [2, 1e9]
+# took 2.9 s in chunks of 2^20 odd numbers and 9.5 s in chunks of 2^24.
+_CHUNK_ODDS = 1 << 20
 
 
 class TableLimitError(ValueError):
@@ -210,12 +213,21 @@ class PrimeTable:
         if self._primes_bound < bound:
             # grow generously to amortize repeated slightly-larger requests
             grow = min(self.limit, max(2 * int(bound), 1 << 16))
-            # filled in place: joining the chunks would hold every prime twice
+            # read off the table's bits a chunk at a time and filled in
+            # place: joining the chunks would hold every prime twice
             primes = np.empty(self.pi(grow), dtype=np.int64)
-            n = 0
-            for seg in segments(2, grow):
-                primes[n : n + len(seg)] = seg
-                n += len(seg)
+            primes[0] = 2
+            n, n_odds, step = 1, (grow + 1) // 2, _CHUNK_ODDS // 8
+            for b in range(0, (n_odds + 7) // 8, step):
+                flags = np.unpackbits(
+                    self._bits[b : b + step], count=min(8 * step, n_odds - 8 * b),
+                    bitorder="little",
+                )
+                odd = np.flatnonzero(flags)  # bit 8b + i <-> the number 16b + 2i + 1
+                part = primes[n : n + len(odd)]
+                np.multiply(odd, 2, out=part)
+                part += 16 * b + 1
+                n += len(odd)
             primes.flags.writeable = False  # callers get views of the cache
             self._primes, self._primes_bound = primes, grow
         return self._primes[: np.searchsorted(self._primes, bound, side="right")]
@@ -306,12 +318,21 @@ def check_dusart(limit: int) -> DusartReport:
     pi_base = 0
     theta_base = 0.0
     block = 1 << 20
+    # one sieve walk: each chunk of primes is taken up by the blocks it spans
+    chunks = segments(2, limit)
+    ahead = np.empty(0, dtype=np.int64)  # primes not yet in a block
     for lo in range(2, limit + 1, block):
         hi = min(lo + block - 1, limit)
+        while not len(ahead) or ahead[-1] < hi:
+            chunk = next(chunks, None)
+            if chunk is None:
+                break
+            ahead = np.concatenate([ahead, chunk])
+        k = int(np.searchsorted(ahead, hi, side="right"))
         xs = np.arange(lo, hi + 1, dtype=np.int64)
         isp = np.zeros(len(xs), dtype=np.int64)
-        for seg in segments(lo, hi):
-            isp[seg - lo] = 1
+        isp[ahead[:k] - lo] = 1
+        ahead = ahead[k:]
         pis = pi_base + np.cumsum(isp)
         pi_base = int(pis[-1])
         logs = np.log(xs.astype(np.float64))

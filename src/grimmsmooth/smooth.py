@@ -14,6 +14,16 @@ multiplicity and look at what is left.
 
 Both regimes collapse to the single test ``residual <= y``, taken as
 ``residual <= max(y, 1)`` so that the unit counts for y < 1 as well.
+:func:`psi`, whose y may exceed 2^53, takes the right side as the Python
+int floor(max(y, 1)), so the int64 residuals are compared exactly; against
+a float they would be rounded to 53 bits.  (:func:`psi_window` needs a
+table to y, so its y stays below 2^31.)
+
+:func:`psi` counts the y-smooth n in (lo, x] the same way, in blocks of
+``_BLOCK`` values; Psi(x, y) is the count with lo = 0.  The CLI runs it on
+fixed shards (a, a + 2^21] of (0, x] in parallel and adds their counts in
+shard order, so x is limited only by ``PSI_MAX_X`` = 2^62, the headroom of
+the int64 sieve arrays, not by time.
 
 The payoff is the window criterion: if a window (x, x+z] holds more than
 pi(y) many y-smooth numbers, those elements alone overwhelm the supply of
@@ -46,9 +56,8 @@ from .dickman import build_rho_table, rho
 from .intervals import window_residuals
 from .primes import PrimeTable, TableLimitError
 
-# Global Psi(x, y) sieves all of [1, x]; beyond this, use psi_window on the
-# stretch you actually care about.
-PSI_GLOBAL_CAP = 10**8
+# Largest x for psi: the sieve arrays hold the values themselves as int64.
+PSI_MAX_X = 2**62
 
 _BLOCK = 1 << 20
 
@@ -104,26 +113,25 @@ class ExceptionalScanReport:
     first_failures: tuple[int, ...]
 
 
-def psi(x: int, y: float, table: PrimeTable) -> int:
-    """Psi(x, y): exact count of y-smooth positive integers <= x."""
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+def psi(x: int, y: float, table: PrimeTable, lo: int = 0) -> int:
+    """Exact count of the y-smooth integers in (lo, x]; with lo = 0 this is
+    Psi(x, y).  The table must reach min(y, sqrt(x))."""
+    x, lo = int(x), int(lo)
+    if not 0 <= lo <= x <= PSI_MAX_X:
+        raise ValueError(f"need 0 <= lo <= x <= {PSI_MAX_X}, got lo={lo}, x={x}")
     if y <= 0:
         raise ValueError(f"y must be positive, got {y}")
-    if x > PSI_GLOBAL_CAP:
-        raise ValueError(
-            f"global Psi is capped at x = {PSI_GLOBAL_CAP}; "
-            f"use psi_window on the range of interest instead"
-        )
-    if x == 0:
-        return 0
-    count = 0
     bound = min(int(y), isqrt(x))
-    for lo in range(1, x + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, x)
-        res = window_residuals(lo, hi, bound, table)
-        count += int((res <= max(y, 1)).sum())
+    if table.limit < bound:
+        raise TableLimitError(
+            f"psi(x={x}, y={y}) needs table limit >= {bound}, have {table.limit}",
+            required=bound,
+        )
+    cut = math.floor(max(y, 1))
+    count = 0
+    for a in range(lo + 1, x + 1, _BLOCK):
+        res = window_residuals(a, min(a + _BLOCK - 1, x), bound, table)
+        count += int(np.count_nonzero(res <= cut))
     return count
 
 

@@ -153,6 +153,17 @@ def psi_buchstab(x: int, y: float, primes: list[int]) -> int:
     return rec(int(x), len(ps))
 
 
+def psi_large_y(x: int, y: float) -> int:
+    """Psi(x, y) for y >= sqrt(x), where every n <= x has at most one prime
+    factor above y: floor(x) minus the multiples of each prime in (y, x]."""
+    x = floor(x)
+    if y * y < x:
+        raise ValueError(f"need y >= sqrt(x), got x={x}, y={y}")
+    ps = sieve_primes(x)
+    ps = ps[ps > y]
+    return x - int((x // ps).sum())
+
+
 def ram_sum_double_loop(x: int, alpha: float, primes: list[int]) -> int:
     """S(x, alpha) by iterating j and counting primes in each scaled window.
 

@@ -3,7 +3,7 @@ import json
 
 import grimmsmooth
 from grimmsmooth.cli import replay_manifest, run
-from oracles import ram_sum_miller_rabin
+from oracles import psi_buchstab, ram_sum_miller_rabin, trial_primes
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -178,6 +178,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["verify-grimm", "--limit", str(2**31 + 1)], "--limit"),
         (["gap-scan", "--limit", str(2**31 + 1)], "--limit"),
         (["dusart-check", "--limit", str(2**31 + 1)], "--limit"),
+        (["psi", "--x", "-5", "--y", "3"], "--x"),
+        (["psi", "--x", str(2**62 + 1), "--y", "3"], "--x"),
+        (["represent", "--n", "-5", "--k", "3"], "--n"),
+        (["represent", "--n", "0", "--k", "3"], "--n"),
+        (["g", "--n", "100", "--workers", "0"], "--workers"),
+        (["psi", "--x", "100", "--y", "3", "--workers", "-3"], "--workers"),
         (["psi", "--x", "10", "--y", "nan"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
@@ -277,8 +283,16 @@ def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
     bases = [invoke(argv + ["--workers", "1"], tmp_path) for argv in (scan, verify, gaps)]
     assert bases[1][1] == "limit,runs,failures,max_k,max_k_p\n20000,2260,0,51,19609\n"
     assert bases[2][1] == "limit,pairs,violations,max_gap,max_gap_p\n20000,2261,0,52,19609\n"
+    argvs = [scan, verify, gaps]
+    # psi with x on the shard edge 20480 = 160 * 128, one before and one
+    # after it, and y below and above sqrt(x)
+    for x in (20479, 20480, 20481):
+        for y in (23, 200):
+            argvs.append(["psi", "--x", str(x), "--y", str(y)])
+            want = psi_buchstab(x, y, trial_primes(y))
+            bases.append((0, f"x,y,psi\n{x},{float(y)},{want}\n"))
     monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 8 exceptional-scan shards of 384 values
-    for argv, base in zip((scan, verify, gaps), bases):
+    for argv, base in zip(argvs, bases):
         assert invoke(argv + ["--workers", "1"], tmp_path) == base, argv
         assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
 
@@ -451,9 +465,40 @@ def test_torn_checkpoint_resumes(tmp_path):
 
 
 def test_bad_env_values_exit_2(tmp_path, monkeypatch, capsys):
-    for var in ("GRIMMSMOOTH_WORKERS", "GRIMMSMOOTH_TABLE_LIMIT"):
+    for var, value in (
+        ("GRIMMSMOOTH_WORKERS", "abc"),
+        ("GRIMMSMOOTH_WORKERS", "0"),
+        ("GRIMMSMOOTH_WORKERS", "-3"),
+        ("GRIMMSMOOTH_TABLE_LIMIT", "abc"),
+    ):
         with monkeypatch.context() as m:
-            m.setenv(var, "abc")
+            m.setenv(var, value)
             code, out = invoke(["g", "--n", "100"], tmp_path)
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, ""), (var, value)
         assert var in capsys.readouterr().err
+
+
+def test_psi_checkpoint_resumes(tmp_path, monkeypatch, capsys):
+    import grimmsmooth.cli as cli
+
+    monkeypatch.setattr(cli, "SHARD_SPAN", 4096)
+    ck = tmp_path / "psi.ckpt"
+    argv = ["psi", "--x", "20000", "--y", "30", "--checkpoint", str(ck)]
+    full = invoke(argv, tmp_path)
+    assert full == (0, f"x,y,psi\n20000,30.0,{psi_buchstab(20000, 30, trial_primes(30))}\n")
+    text = ck.read_text()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 1 + 5  # header + shards (0, 4096], ..., (16384, 20000]
+    assert json.loads(lines[0])["meta"] == {
+        "cmd": "psi", "x": 20000, "y": 30.0, "span": 4096,
+        "version": grimmsmooth.__version__,
+    }
+    # a run killed while writing its third shard's line
+    ck.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    assert invoke(argv, tmp_path) == full
+    assert ck.read_text() == text
+    # a checkpoint written for another y is refused
+    capsys.readouterr()
+    other = ["psi", "--x", "20000", "--y", "31", "--checkpoint", str(ck)]
+    assert invoke(other, tmp_path) == (2, "")
+    assert "checkpoint" in capsys.readouterr().err

@@ -32,6 +32,8 @@ DIGESTS = [
      "3c11b4d7b39a16de94ea4afc4d958c4c3f7c9f6556d01919be20699405b281a9"),
     (["psi", "--x", "2000000", "--y", "1000"],
      "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
+    (["psi", "--x", "2000000", "--y", "1000", "--workers", "2"],
+     "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
     (["ram-sum", "--x", "100000000", "--alpha", "0.48"],
      "c8981735bd6577a982b8836dff95067ed7708f50c885df66fa8862275d7bdebe"),
     (["exceptional-scan", "--x-max", "400000", "--eps", "0.3", "--stride", "4"],

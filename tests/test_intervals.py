@@ -194,3 +194,20 @@ def test_window_residuals_match_trial_division_property(table_1e4, window, bound
     for v, r in zip(range(lo, hi + 1), res):
         fac = trial_factorization(v)
         assert r == prod(p**e for p, e in fac.items() if p > cut), (v, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows())
+@example((2**20 - 600, 2**20))
+def test_hits_filtered_in_slices_match_trial_division(table_1e4, window):
+    # 7 primes per filtered slice: every window's sieving primes, and so its
+    # hit list, span many slices
+    lo, hi = window
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(intervals, "_HIT_SLICE", 7)
+        rows = prime_rows(lo, hi, table_1e4)
+        lpf = lpf_range(lo, hi, table_1e4).tolist()
+    for i, v in enumerate(range(lo, hi + 1)):
+        fac = trial_factorization(v)
+        assert rows[i] == sorted(fac), v
+        assert lpf[i] == max(fac, default=1), v

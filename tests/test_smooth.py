@@ -1,7 +1,9 @@
+import io
 import math
 import sys
 from dataclasses import asdict
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import grimmsmooth.smooth as smooth
 from grimmsmooth import (
+    TableLimitError,
     build_rho_table,
     exceptional_scan,
     g,
@@ -18,8 +21,10 @@ from grimmsmooth import (
     psi_window,
     rho,
 )
+from grimmsmooth.cli import run
 from oracles import (
-    exceptional_scan_reference, psi_buchstab, smooth_count_direct, trial_primes,
+    exceptional_scan_reference, psi_buchstab, psi_large_y, smooth_count_direct,
+    trial_primes,
 )
 
 PRIMES_1E4 = trial_primes(10_000)
@@ -95,9 +100,55 @@ def test_psi_monotone_in_x_and_y(table_1e4):
         assert row == sorted(row)
 
 
-def test_psi_cap(table_1e4):
-    with pytest.raises(ValueError, match="psi_window"):
-        psi(10**8 + 1, 10, table_1e4)
+def test_psi_cap(table_1e4, capsys):
+    # the bound is the int64 headroom of the sieve arrays, 2^62
+    for x, lo in ((2**62 + 1, 0), (10, -1), (10, 11)):
+        with pytest.raises(ValueError, match="lo <= x <= 4611686018427387904"):
+            psi(x, 10, table_1e4, lo=lo)
+    assert psi(2**62, 10, table_1e4, lo=2**62) == 0
+    with pytest.raises(TableLimitError):
+        psi(10**9, 10**5, table_1e4)
+    argv = ["psi", "--x", str(2**62 + 1), "--y", "10", "--manifest", "-"]
+    assert run(argv, stdout=io.StringIO()) == 2
+    assert "argument --x" in capsys.readouterr().err
+
+
+def test_psi_past_the_old_cap(table_1e4):
+    # one block-sized range (1e8, 1e8 + 2^20], counted on its own
+    hi = 10**8 + 2**20
+    want = psi_buchstab(hi, 10, PRIMES_1E4) - psi_buchstab(10**8, 10, PRIMES_1E4)
+    assert psi(hi, 10, table_1e4, lo=10**8) == want
+
+
+def test_psi_ranges_add_up(table_1e4):
+    x, y = 50_000, 23
+    cuts = [0, 1, 2, 1000, 2**14, 2**14 + 1, 33_333, x]
+    parts = [psi(b, y, table_1e4, lo=a) for a, b in zip(cuts, cuts[1:])]
+    assert sum(parts) == psi(x, y, table_1e4) == psi_buchstab(x, y, PRIMES_1E4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.0, 1.5))
+@example(10**6, 0.0)
+@example(2**20 - 1, 0.0)  # x one short of a full block
+def test_psi_matches_large_y_oracle(table_1e4, x, extra):
+    # u <= 2: y from ceil(sqrt(x)) up to 2.5 times that, integer or not
+    root = isqrt(x - 1) + 1 if x else 1
+    y = root * (1.0 + extra)
+    assert psi(x, y, table_1e4) == psi_large_y(x, y)
+
+
+def test_smoothness_cut_is_exact_past_2_53(monkeypatch):
+    # the residual r = 2^62 - 511 rounds down to the float y = 2^62 - 512,
+    # so only an integer comparison finds r > y and the element not smooth
+    r, y = 2**62 - 511, float(2**62 - 512)
+    monkeypatch.setattr(
+        smooth, "window_residuals",
+        lambda lo, hi, bound, table: np.array([r], dtype=np.int64),
+    )
+    table = SimpleNamespace(limit=2**31)
+    assert psi(r, y, table, lo=r - 1) == 0
+    assert psi(r, y + 1024, table, lo=r - 1) == 1
 
 
 def test_psi_window_examples(table_1e4):
