@@ -504,7 +504,7 @@ def _exponent_row(lam: float, eps_prime: float) -> dict:
 
 
 def _h_exponents(args):
-    if args.grid:
+    if args.grid is not None:
         lo, hi = float(Fraction(1, 33)), float(Fraction(1, 29))
         step = (hi - lo) / (args.grid + 1)
         rows = [
@@ -609,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-max", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_positive(float), default=1e-3)
     p.add_argument("--dump", action="store_true")
 
     p = add("exceptional-scan", _h_exceptional_scan, help="short-window smoothness failures")
@@ -638,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("exponents", _h_exponents, help="lambda -> (alpha, delta, gamma, alpha1)")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--eps-prime", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_positive(int), default=None)
 
     return parser
 

@@ -35,10 +35,15 @@ fail loudly rather than return a wrong value if it is ever hit.
 
 Verifying Grimm's conjecture below a limit decides every composite run
 between consecutive primes, block by block.  ``verify_grimm_summary`` takes
-the run counts from the prime gaps alone and sieves only the lpf of each
-block: distinct largest prime factors already form an assignment, so it
-sorts one (run id, lpf) key per composite and matches only the runs that own
-an equal pair, which is about 0.02% of the runs below 1e7.
+the run counts from the prime gaps alone.  Distinct largest prime factors
+already form an assignment, so only runs in which two elements share their
+lpf need the matching, about 0.02% of the runs below 1e7.  Such a shared
+lpf divides the difference of the two elements, so it lies below K, the
+block's longest run: only the (K-1)-smooth elements can collide, and the
+block is sieved with the primes below K alone (about 36 of them near 1e7,
+where sqrt(x) would take about 420), leaving about 3% of its values to key
+by (run, lpf) and sort.  The smooth numbers are the only obstruction, as
+in the paper.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import lpf_range, prime_rows
+from .intervals import lpf_range, prime_rows, smooth_lpf
 from .primes import PrimeTable, bounding_primes
 
 
@@ -324,22 +329,25 @@ def _iter_blocks(ps: np.ndarray):
         i = j
 
 
-def _colliding_runs(ps: np.ndarray, blo: int, lpf: np.ndarray) -> np.ndarray:
-    """Indices a into ``ps`` of the runs ps[a]+1 .. ps[a+1]-1 in which two
-    elements share their largest prime factor, ascending."""
-    count = len(lpf)
-    inner = ps[1:-1] - blo  # rows of the primes inside the block
-    run_id = np.zeros(count, dtype=np.int64)
-    run_id[inner] = 1
-    np.cumsum(run_id, out=run_id)
-    composite = np.ones(count, dtype=bool)
-    composite[inner] = False
-    # run_id < count < 2^22 (2^21 values plus one prime gap) and lpf <= bhi,
-    # with blo + count = bhi + 1, so the key is below 2^22 * (bhi + 1) and
-    # fits in int64 while bhi < 2^41
-    keys = np.sort(run_id[composite] * (blo + count) + lpf[composite])
+def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable) -> np.ndarray:
+    """Indices a into ``ps`` of the runs ps[a]+1 .. ps[a+1]-1 of the block
+    blo..bhi in which two elements share their largest prime factor,
+    ascending.
+
+    Two elements of a run of length k that share the largest prime factor q
+    differ by a multiple of q between 1 and k - 1, so q < k <= K, the
+    longest run of the block, and both elements are (K-1)-smooth.  Only
+    those elements are keyed, by (run, lpf); the block's primes below K are
+    smooth too and drop out as their own lpf.
+    """
+    longest = int(np.max(np.diff(ps))) - 1
+    rows, lpf = smooth_lpf(blo, bhi, longest - 1, table)
+    values = blo + rows
+    keep = lpf != values
+    run = np.searchsorted(ps, values[keep]) - 1
+    keys = np.sort(run * longest + lpf[keep])  # lpf < longest
     dup = keys[1:][keys[1:] == keys[:-1]]
-    return np.unique(dup // (blo + count))
+    return np.unique(dup // longest)
 
 
 def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySummary:
@@ -348,12 +356,17 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
     Run counts and the longest run come from the gaps between consecutive
     primes alone.  When the largest prime factors of a run's elements are
     pairwise distinct they already form a valid assignment, so the full
-    matching runs only on colliding runs: per block, every composite gets
-    the key (run id, lpf), with the run id a cumulative count of the block's
-    primes, and equal neighbours in the sorted keys mark the runs to factor
-    and match.  Failure reports always carry the canonical matching
-    certificate.  The primes come from :func:`bounding_primes`; ``table``
-    only has to reach sqrt(limit), for the lpf sieve and the matching.
+    matching runs only on colliding runs: per block, the elements smooth
+    over the primes below the block's longest run, the only ones whose lpf
+    can repeat within a run, get the key (run, lpf), and equal neighbours
+    in the sorted keys mark the runs to factor and match
+    (:func:`_colliding_runs`).  Failure reports always carry the canonical
+    matching certificate.  The primes come from :func:`bounding_primes`;
+    ``table`` only has to reach sqrt(limit), for the matching: the smooth
+    sieve needs primes to the longest run less one, at most ceil(sqrt(q))
+    for a gap closing at q (at most 12 for the gap 113 .. 127, and far
+    below sqrt(q) as q grows), and a table that falls short raises
+    ``TableLimitError``.
     """
     ps = bounding_primes(lo, limit)
     ks = np.diff(ps) - 1
@@ -364,8 +377,7 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
         max_k, max_k_p = int(ks[a]), int(ps[a])
     failures: list[GrimmRunReport] = []
     for bps, blo, bhi in _iter_blocks(ps):
-        lpf = lpf_range(blo, bhi, table)
-        for a in _colliding_runs(bps, blo, lpf).tolist():
+        for a in _colliding_runs(bps, blo, bhi, table).tolist():
             p = int(bps[a])
             k = int(bps[a + 1]) - p - 1
             res = has_representation(p, k, table)

@@ -11,17 +11,21 @@ sieving primes by how often they hit the block of ``count`` values.  A dense
 prime p <= count // ``_DENSE_HITS`` gets strided views: for every power
 q = p^j <= hi it multiplies ``smooth[(-lo) % q :: q]`` by p, so each element
 picks up its p-part, and it stores ``p`` into ``lpf[(-lo) % p :: p]`` in
-ascending p, so the largest dividing prime is the one left standing; one
-integer division ``values // smooth`` then leaves the residual cofactor.
+ascending p, so the largest dividing prime is the one left standing.
 A sparse prime hits at most about ``_DENSE_HITS`` elements, where a numpy
 call per prime and per power would cost more than it sieves, so all sparse
 primes share one hit list of (row, prime) pairs built with ``np.repeat``
 arithmetic (:func:`_hits`).  It feeds one ``np.maximum.at`` for the lpf
 stores (every sparse prime exceeds every dense one) and
-``np.floor_divide.at`` on the residual, repeated on the hits whose residual
-is still divisible, one pass per power.  A block with no sparse prime takes
+``np.multiply.at`` on ``smooth``, repeated on the hits whose cofactor is
+still divisible, one pass per power.  A block with no sparse prime takes
 the strided views alone, as every full block of psi (2^20 values, primes to
-1e4) and of verify (2^21 values below 2^31) does.
+1e4) does, and then the narrowest integer types that hold ``smooth`` and
+``lpf``.  One integer division ``values // smooth`` leaves the residual
+cofactor; :func:`smooth_lpf` needs none, since a value is smooth over the
+sieving primes exactly when ``smooth`` equals it.  That is how verify finds
+the elements that can share a largest prime factor in a run: it sieves
+each 2^21-value block with the primes below the block's longest run only.
 When the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it
 has no factor <= sqrt(hi) left) and is the element's largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
@@ -90,18 +94,27 @@ def _hits(lo: int, count: int, primes: np.ndarray):
 
 
 def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
-    """Prime-power sieve of the values lo..hi (lo >= 1).
+    """Prime-power sieve of the values lo..hi (lo >= 1) by ``primes``
+    (ascending).
 
-    Returns ``(residual, lpf)``: ``residual[i]`` is lo+i with every prime of
-    ``primes`` (ascending) divided out to full multiplicity.  With
-    ``with_lpf``, which needs ``primes`` to be all primes <= sqrt(hi),
-    ``lpf[i]`` is the largest prime factor of lo+i (1 for the unit);
-    otherwise ``lpf`` is None and the smooth counts skip those stores.
+    Returns ``(smooth, lpf)``: ``smooth[i]`` is the product of the full
+    powers of ``primes`` dividing lo+i, so lo+i is smooth over ``primes``
+    exactly when ``smooth[i]`` equals it.  With ``with_lpf``, ``lpf[i]`` is
+    the largest of ``primes`` dividing lo+i (1 if none); otherwise ``lpf``
+    is None and the smooth counts skip those stores.
     """
     count = hi - lo + 1
     dense = _n_dense(count, primes)
-    smooth = np.ones(count, dtype=np.int64)
-    lpf = np.ones(count, dtype=np.int64) if with_lpf else None
+    # the strided passes over a block are bound by its memory traffic, so
+    # when every prime takes them the arrays get the narrowest type that
+    # holds them: smooth[i] divides lo+i, and lpf[i] is one of ``primes``;
+    # the hit list is int64, and ufunc.at is fast only on arrays of its type
+    smooth_type = lpf_type = np.int64
+    if dense == len(primes) and hi < 2**31:
+        smooth_type = np.int32
+        lpf_type = np.min_scalar_type(int(primes[-1]) if dense else 1)
+    smooth = np.ones(count, dtype=smooth_type)
+    lpf = np.ones(count, dtype=lpf_type) if with_lpf else None
     for p in primes[:dense].tolist():
         if with_lpf:
             lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
@@ -109,19 +122,22 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
         while q <= hi:
             smooth[-lo % q :: q] *= p
             q *= p
-    residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
     if dense < len(primes):
         rows, ps = _hits(lo, count, primes[dense:])
         if with_lpf:
             np.maximum.at(lpf, rows, ps)  # every sparse p exceeds every dense one
+        cof = (lo + rows) // ps
         while len(rows):  # one pass per power: p, p^2, p^3, ...
-            np.floor_divide.at(residual, rows, ps)
-            more = residual[rows] % ps == 0
-            rows, ps = rows[more], ps[more]
-    if with_lpf:
-        # a residual above 1 is the one prime factor above sqrt(hi)
-        np.copyto(lpf, residual, where=residual > 1)
-    return residual, lpf
+            np.multiply.at(smooth, rows, ps)
+            more = cof % ps == 0
+            rows, ps, cof = rows[more], ps[more], cof[more]
+            cof //= ps
+    return smooth, lpf
+
+
+def _residuals(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """lo..hi with every prime of ``primes`` divided out to full multiplicity."""
+    return np.arange(lo, hi + 1, dtype=np.int64) // _sieve(lo, hi, primes)[0]
 
 
 def prime_rows(lo: int, hi: int, table: PrimeTable) -> list[list[int]]:
@@ -137,7 +153,7 @@ def prime_rows(lo: int, hi: int, table: PrimeTable) -> list[list[int]]:
     rows: list[list[int]] = [[] for _ in range(hi - lo + 1)]
     for i, p in zip(*(a.tolist() for a in _hits(lo, len(rows), primes))):
         rows[i].append(p)
-    residual = _sieve(lo, hi, primes)[0]
+    residual = _residuals(lo, hi, primes)
     big = np.flatnonzero(residual > 1)
     for i, r in zip(big.tolist(), residual[big].tolist()):
         rows[i].append(r)
@@ -148,7 +164,28 @@ def lpf_range(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
     """Largest prime factor of each value lo..hi (1 for the unit)."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    return _sieve(lo, hi, _sieving_primes(table, hi), with_lpf=True)[1]
+    smooth, lpf = _sieve(lo, hi, _sieving_primes(table, hi), with_lpf=True)
+    residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
+    lpf = lpf.astype(np.int64, copy=False)
+    # a residual above 1 is the one prime factor above sqrt(hi)
+    np.copyto(lpf, residual, where=residual > 1)
+    return lpf
+
+
+def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
+    """``(rows, lpf)``: the rows i, ascending, of the values lo+i in lo..hi
+    (lo >= 1) whose prime factors all lie at or below ``bound``, and the
+    largest prime factor of each.
+
+    Only the primes <= bound sieve, whatever sqrt(hi) is, and a value is
+    bound-smooth exactly when the product of its prime powers below the
+    bound equals it, so the test divides nothing.
+    """
+    if lo < 1 or hi < lo:
+        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    smooth, lpf = _sieve(lo, hi, table.primes_to(bound), with_lpf=True)
+    rows = np.flatnonzero(smooth == np.arange(lo, hi + 1, dtype=smooth.dtype))
+    return rows, lpf[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -191,4 +228,4 @@ def window_residuals(lo: int, hi: int, prime_bound: int, table: PrimeTable):
                 res[i] = v
         return np.asarray(res, dtype=np.int64)
 
-    return _sieve(lo, hi, ps)[0]
+    return _residuals(lo, hi, ps)

@@ -300,25 +300,65 @@ class DusartReport:
         return not self.pi_violations and not self.theta_violations
 
 
+# pi(x) < (x / log x)(1 + _PI_C / log x) for x > 1 (Dusart)
+_PI_C = 1.2762
+
+
+def _pi_bound(xs: np.ndarray) -> np.ndarray:
+    logs = np.log(xs.astype(np.float64))
+    return xs / logs * (1.0 + _PI_C / logs)
+
+
+def _pi_violations_from(x: int, pi_x: int, limit: int) -> list[int]:
+    """x, x+1, ... up to limit, while the pi bound stays at or below pi_x;
+    pi only grows, so each of them breaks the bound."""
+    run: list[int] = []
+    while x <= limit:
+        ys = np.arange(x, min(x + 1024, limit + 1), dtype=np.int64)
+        above = np.flatnonzero(_pi_bound(ys) > pi_x)
+        run += ys[: above[0] if len(above) else len(ys)].tolist()
+        if len(above):
+            break
+        x += 1024
+    return run
+
+
 def check_dusart(limit: int) -> DusartReport:
     """Check pi(x) < (x/log x)(1 + 1.2762/log x) at every integer x in (1, limit]
     and theta(x) <= 1.00008 x for all real x in (0, limit].
 
-    theta is a step function jumping only at primes while the right side
-    increases, so the second inequality holds on all of (0, limit] iff it
-    holds at every prime <= limit; the scan checks exactly those points.
+    pi is constant from a prime p to the next prime q, while the pi bound
+    increases from x = 5 on, so on [p, q) its slack is least at p: the scan
+    evaluates it at every x below 5 and then at the primes only.  A
+    violation at a point spreads to the integers after it for as long as
+    the bound stays at or below its pi, and those are listed with it.
+    theta too is a step function jumping only at primes, so the second
+    inequality holds on all of (0, limit] iff it holds at every prime <=
+    limit; the scan checks exactly those points.
     """
-    pi_bad: list[int] = []
+    pi_bad: set[int] = set()
     pi_slack = math.inf
     th_bad: list[int] = []
     th_slack = math.inf
-    pi_checked = 0
     th_checked = 0
+
+    def check_pi(xs: np.ndarray, pis: np.ndarray) -> None:
+        nonlocal pi_slack
+        if not len(xs):
+            return
+        bound = _pi_bound(xs)
+        pi_slack = min(pi_slack, float((bound - pis).min()))
+        for i in np.flatnonzero(pis >= bound).tolist():
+            pi_bad.update(_pi_violations_from(int(xs[i]), int(pis[i]), limit))
+
+    head = np.arange(2, min(limit, 4) + 1, dtype=np.int64)  # pi = 1, 2, 2
+    check_pi(head, np.minimum(head - 1, 2))
 
     pi_base = 0
     theta_base = 0.0
     block = 1 << 20
-    # one sieve walk: each chunk of primes is taken up by the blocks it spans
+    # one sieve walk: each chunk of primes is taken up by the blocks it
+    # spans, and theta sums them block by block
     chunks = segments(2, limit)
     ahead = np.empty(0, dtype=np.int64)  # primes not yet in a block
     for lo in range(2, limit + 1, block):
@@ -329,29 +369,18 @@ def check_dusart(limit: int) -> DusartReport:
                 break
             ahead = np.concatenate([ahead, chunk])
         k = int(np.searchsorted(ahead, hi, side="right"))
-        xs = np.arange(lo, hi + 1, dtype=np.int64)
-        isp = np.zeros(len(xs), dtype=np.int64)
-        isp[ahead[:k] - lo] = 1
-        ahead = ahead[k:]
-        pis = pi_base + np.cumsum(isp)
-        pi_base = int(pis[-1])
-        logs = np.log(xs.astype(np.float64))
-        bound = xs / logs * (1.0 + 1.2762 / logs)
-        slack = bound - pis
-        pi_checked += len(xs)
-        m = float(slack.min())
-        if m < pi_slack:
-            pi_slack = m
-        for i in np.flatnonzero(pis >= bound):
-            pi_bad.append(int(xs[i]))
+        pr, ahead = ahead[:k], ahead[k:]
+        pis = pi_base + np.arange(1, k + 1, dtype=np.int64)
+        pi_base += k
+        five = int(np.searchsorted(pr, 5))
+        check_pi(pr[five:], pis[five:])
 
-        pr = np.flatnonzero(isp)
-        if len(pr):
-            pvals = xs[pr].astype(np.float64)
+        if k:
+            pvals = pr.astype(np.float64)
             thetas = theta_base + np.cumsum(np.log(pvals))
             theta_base = float(thetas[-1])
             tslack = 1.00008 * pvals - thetas
-            th_checked += len(pr)
+            th_checked += k
             m = float(tslack.min())
             if m < th_slack:
                 th_slack = m
@@ -360,8 +389,8 @@ def check_dusart(limit: int) -> DusartReport:
 
     return DusartReport(
         limit=limit,
-        pi_points_checked=pi_checked,
-        pi_violations=tuple(pi_bad),
+        pi_points_checked=max(limit - 1, 0),
+        pi_violations=tuple(sorted(pi_bad)),
         pi_min_slack=pi_slack,
         theta_primes_checked=th_checked,
         theta_violations=tuple(th_bad),

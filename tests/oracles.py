@@ -4,7 +4,8 @@ Everything here is deliberately naive: trial division, a dense sieve,
 exhaustive backtracking, direct recursion.  None of it shares code with the
 package, except :func:`verify_grimm`, the full-matching reference for the
 run verification, which lists its runs from its own sieve but decides every
-run with the library's own matching.
+run with the library's own matching, and :func:`colliding_runs_full_lpf`,
+which keys the largest prime factors the library's ``lpf_range`` gives.
 """
 
 from __future__ import annotations
@@ -117,6 +118,30 @@ def verify_grimm(limit: int, table: PrimeTable) -> Iterator[GrimmRunReport]:
     for p, q in zip(ps, ps[1:]):
         if q - p > 1:
             yield GrimmRunReport(p, q - p - 1, has_representation(p, q - p - 1, table))
+
+
+def colliding_runs_full_lpf(ps: np.ndarray, blo: int, lpf: np.ndarray) -> np.ndarray:
+    """Indices a into ``ps`` of the runs ps[a]+1 .. ps[a+1]-1 in which two
+    elements share their largest prime factor, ascending, from the lpf of
+    every value of the block blo .. blo + len(lpf) - 1.
+
+    Every composite gets the key (run id, lpf), with the run id a cumulative
+    count of the block's primes; equal neighbours in the sorted keys mark
+    the colliding runs.
+    """
+    count = len(lpf)
+    inner = ps[1:-1] - blo  # rows of the primes inside the block
+    run_id = np.zeros(count, dtype=np.int64)
+    run_id[inner] = 1
+    np.cumsum(run_id, out=run_id)
+    composite = np.ones(count, dtype=bool)
+    composite[inner] = False
+    # run_id < count < 2^22 (2^21 values plus one prime gap) and lpf <= bhi,
+    # with blo + count = bhi + 1, so the key is below 2^22 * (bhi + 1) and
+    # fits in int64 while bhi < 2^41
+    keys = np.sort(run_id[composite] * (blo + count) + lpf[composite])
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    return np.unique(dup // (blo + count))
 
 
 def smooth_count_direct(lo: int, hi: int, y: float) -> int:

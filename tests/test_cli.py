@@ -170,6 +170,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (scan + ["--c0", "-1"], "--c0"),
         (["exceptional-scan", "--x-max", "-5", "--eps", "0.3"], "--x-max"),
         (["rho", "--t", "40"], "--t"),
+        (["rho", "--t", "1", "--step", "0"], "--step"),
+        (["rho", "--t", "1", "--step", "-0.5"], "--step"),
+        (["exponents", "--grid", "-3"], "--grid"),
+        (["exponents", "--grid", "0"], "--grid"),
         (["g", "--n", "0"], "n must be >= 2"),
         (["verify-grimm", "--limit", "-5"], "--limit"),
         (["gap-scan", "--limit", "0"], "--limit"),

@@ -18,6 +18,9 @@ DIGESTS = [
      "230c6d1cc1dde4ccba9e173d44acff5f4e1bc60f71eacf2371ececdeb80ce4d7"),
     (["verify-grimm", "--limit", "1000000", "--workers", "2"],
      "230c6d1cc1dde4ccba9e173d44acff5f4e1bc60f71eacf2371ececdeb80ce4d7"),
+    # the row 10000000,664577,0,153,4652353
+    (["verify-grimm", "--limit", "10000000", "--workers", "2"],
+     "0a7ec208f4b4b76065e38133fda830d7ad097d93b029e21043b31d1849fbee29"),
     (["verify-grimm", "--limit", "300000", "--emit-runs"],
      "b18d7c0ab163947a67da1e24141056831de7bddfc7d0ec37a47a10356e3fe6b6"),
     (["gap-scan", "--limit", "1000000"],

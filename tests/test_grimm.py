@@ -1,5 +1,7 @@
+import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -8,13 +10,17 @@ from grimmsmooth import (
     GrimmRunReport,
     RepresentationResult,
     VerifySummary,
+    build_table,
     g,
     g1,
     has_representation,
     verify_grimm_summary,
 )
-from grimmsmooth import grimm
+from grimmsmooth import grimm, intervals
+from grimmsmooth.intervals import lpf_range
+from grimmsmooth.primes import bounding_primes
 from oracles import (
+    colliding_runs_full_lpf,
     distinct_primes,
     g1_prefix_union,
     g_exhaustive,
@@ -266,6 +272,39 @@ def test_collision_detector_fires(monkeypatch, table_1e5, lpf_1e5):
             expected = colliding_runs(lpf_1e5, lo, hi)
             assert expected and seen == [w for _, w in expected], (lo, hi)
             assert s.failures == ()
+
+
+def check_blocks(lo, hi, table):
+    """The smooth-element keying against the full-lpf keying on every block
+    of the runs closing in (lo, hi]; returns each block's (K - 1, count)."""
+    seen = []
+    for bps, blo, bhi in grimm._iter_blocks(bounding_primes(lo, hi)):
+        want = colliding_runs_full_lpf(bps, blo, lpf_range(blo, bhi, table))
+        got = grimm._colliding_runs(bps, blo, bhi, table)
+        assert np.array_equal(got, want), (blo, bhi)
+        seen.append((int(np.max(np.diff(bps))) - 2, bhi - blo + 1))
+    return seen
+
+
+def test_smooth_keying_matches_full_lpf_keying():
+    table = build_table(isqrt(10**7) + 1)
+    rng = random.Random(13)
+    # the first block, whose interior primes below K are smooth, then full
+    # blocks from random starts below 1e7
+    for lo in [2] + [rng.randrange(3, 10**7 - 2**22) for _ in range(2)]:
+        check_blocks(lo, lo + 2**21 + rng.randrange(2**20), table)
+    # short tail blocks, where the primes below K outgrow the strided views
+    sparse = 0
+    for _ in range(40):
+        lo = rng.randrange(3, 10**7)
+        for bound, count in check_blocks(lo, lo + rng.randrange(20, 3000), table):
+            sparse += bound > count // intervals._DENSE_HITS
+    assert sparse >= 10
+
+
+def test_smooth_keying_past_2_32():
+    lo = 2**32 + 12345
+    check_blocks(lo, lo + 2**21, build_table(isqrt(lo + 2**22) + 1))
 
 
 def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):

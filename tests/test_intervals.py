@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grimmsmooth import TableLimitError, has_representation
+from grimmsmooth import TableLimitError, build_table, has_representation
 from grimmsmooth import intervals
-from grimmsmooth.intervals import lpf_range, prime_rows, window_residuals
+from grimmsmooth.intervals import lpf_range, prime_rows, smooth_lpf, window_residuals
 from oracles import (
     distinct_primes,
     largest_prime_factor,
@@ -143,6 +143,30 @@ def test_window_residuals_semantics(table_1e4):
     assert window_residuals(1, 1, 10, table_1e4).tolist() == [1]
 
 
+def smooth_by_trial_division(lo, hi, bound):
+    """(rows, lpf) of the bound-smooth values lo+i in lo..hi: each value is
+    divided by every prime <= bound, ascending, and is smooth when 1 is left."""
+    primes = trial_primes(bound)
+    rows, lpf = [], []
+    for i, v in enumerate(range(lo, hi + 1)):
+        top = 1
+        for p in primes:
+            while v % p == 0:
+                v //= p
+                top = p
+        if v == 1:
+            rows.append(i)
+            lpf.append(top)
+    return rows, lpf
+
+
+def check_smooth_lpf(lo, hi, bound, table):
+    rows, lpf = smooth_lpf(lo, hi, bound, table)
+    assert (rows.tolist(), lpf.tolist()) == smooth_by_trial_division(lo, hi, bound), (
+        lo, hi, bound,
+    )
+
+
 @cache
 def factorizations(lo, hi):
     return [trial_factorization(v) for v in range(lo, hi + 1)]
@@ -167,6 +191,8 @@ def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
             cut = min(bound, isqrt(hi))
             res = [prod(p**e for p, e in f.items() if p > cut) for f in facs]
             assert window_residuals(lo, hi, bound, table_1e4).tolist() == res
+        for bound in (0, 2, 7, 60, 150):
+            check_smooth_lpf(lo, hi, bound, table_1e4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,3 +237,35 @@ def test_hits_filtered_in_slices_match_trial_division(table_1e4, window):
         fac = trial_factorization(v)
         assert rows[i] == sorted(fac), v
         assert lpf[i] == max(fac, default=1), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows(), st.integers(0, 400))
+@example((2**20 - 600, 2**20), 2)
+@example((1, 1100), 400)
+def test_smooth_lpf_matches_trial_division_property(table_1e4, window, bound):
+    check_smooth_lpf(*window, bound, table_1e4)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (2**31 - 700, 2**31 - 1),  # the narrow sieve arrays up to their top
+        (2**31 - 300, 2**31 + 300),  # wide ones from 2^31 on
+        (2**32 - 5, 2**32 + 2000),
+        (2**33 + 1, 2**33 + 2**16),
+    ],
+)
+def test_smooth_lpf_past_2_31(table_1e4, lo, hi):
+    for bound in (3, 60, 300):
+        check_smooth_lpf(lo, hi, bound, table_1e4)
+
+
+@pytest.mark.parametrize("lo,hi", [(2**31 - 700, 2**31 - 1), (2**31 - 300, 2**31 + 300)])
+def test_lpf_and_residuals_at_2_31(lo, hi):
+    # the last values the narrow sieve arrays hold, and the first past them
+    table = build_table(isqrt(hi) + 1)
+    facs = [trial_factorization(v) for v in range(lo, hi + 1)]
+    assert lpf_range(lo, hi, table).tolist() == [max(f) for f in facs]
+    res = [prod(p**e for p, e in f.items() if p > 50) for f in facs]
+    assert window_residuals(lo, hi, 50, table).tolist() == res

@@ -14,7 +14,7 @@ from grimmsmooth import (
     segments,
 )
 from grimmsmooth import primes as primes_mod
-from oracles import sieve_primes, trial_primes
+from oracles import prime_pi_array, sieve_primes, trial_primes
 
 TRIAL_1E4 = trial_primes(10_000)
 DENSE_1E6 = sieve_primes(10**6)
@@ -191,6 +191,32 @@ def test_dusart_theta_matches_direct_sum():
     slack = min(1.00008 * p - math.fsum(logs[: i + 1]) for i, p in enumerate(TRIAL_1E4))
     assert rep.theta_primes_checked == len(TRIAL_1E4)
     assert math.isclose(rep.theta_min_slack, slack, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "c,limit",
+    [
+        (1.2762, 2**20 + 5000),  # the published constant: no violation
+        (1.27, 2**20 + 5000),  # a few, around 1627
+        (1.25, 2**20 + 5000),  # runs of them, some past the next prime
+        (1.2, 2**20 + 5000),  # tens of thousands, across both blocks
+        (0.5, 3000),  # nearly every integer
+        (-1.0, 3000),  # every integer, from x = 2 on
+    ],
+)
+def test_dusart_pi_points_match_every_integer(monkeypatch, c, limit):
+    # the scan evaluates the pi bound at x < 5 and at the primes only; one
+    # evaluation at every integer, with the constant lowered until the
+    # bound breaks, gives the same slack and the same violations
+    monkeypatch.setattr(primes_mod, "_PI_C", c)
+    xs = np.arange(2, limit + 1)
+    pis = prime_pi_array(limit)[2:]
+    logs = np.log(xs.astype(np.float64))
+    bound = xs / logs * (1.0 + c / logs)
+    rep = check_dusart(limit)
+    assert rep.pi_points_checked == limit - 1
+    assert rep.pi_min_slack == float((bound - pis).min())
+    assert rep.pi_violations == tuple(xs[pis >= bound].tolist())
 
 
 def test_dusart_clean_to_1e6():
