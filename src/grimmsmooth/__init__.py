@@ -45,6 +45,7 @@ from .smooth import (
     exceptional_scan,
     grimm_upper_bound,
     psi,
+    psi_part,
     psi_window,
 )
 from .sums import (
@@ -96,6 +97,7 @@ __all__ = [
     "phi",
     "phi_sum",
     "psi",
+    "psi_part",
     "psi_window",
     "r_d",
     "ram_sum",

@@ -29,12 +29,12 @@ from math import isqrt
 
 from . import __version__
 from . import exponents as expo
-from .dickman import MAX_T, build_rho_table, rho
+from .dickman import MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
 from .primes import MAX_LIMIT, PrimeTable, TableLimitError, check_dusart, gap_check, segments
 from .smooth import (
-    PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound, psi,
-    psi_window, scan_c0,
+    PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound,
+    psi_part, psi_table_limit, psi_window, scan_c0,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -233,8 +233,8 @@ def _gap_shard(bounds, table):
 
 
 def _psi_shard(payload, table):
-    lo, hi, y = payload
-    return psi(hi, y, table, lo=lo)
+    x, y, a, b = payload
+    return psi_part(x, y, a, b, table)
 
 
 def _scan_shard(payload, table):
@@ -370,14 +370,22 @@ def _h_dusart(args):
 
 
 def _h_psi(args):
-    table = _get_table(min(int(args.y), isqrt(args.x)), args)
+    # the prime regime reads no table, so none is built and --table-limit
+    # has no effect there
+    bound = psi_table_limit(args.x, args.y)
+    table = None if bound is None else _get_table(bound, args)
     shards = [
-        (a, min(a + SHARD_SPAN, args.x), args.y) for a in range(0, args.x, SHARD_SPAN)
+        (args.x, args.y, a, min(a + SHARD_SPAN, args.x))
+        for a in range(0, args.x, SHARD_SPAN)
     ]
     meta = {
         "cmd": "psi", "x": args.x, "y": args.y, "span": SHARD_SPAN,
         "version": __version__,
     }
+    if bound is None:
+        # a prime-regime shard's share is not its smooth count, so a
+        # checkpoint of smooth counts for the same (x, y) must not resume
+        meta["regime"] = "primes"
     parts = _run_shards(
         shards, _psi_shard, table, args.worker_count, args.checkpoint, meta
     )
@@ -546,6 +554,10 @@ _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 # the range scans stay within 2^31, the range they are tested on
 _scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
 _psi_x = _checked(int, lambda v: 0 <= v <= PSI_MAX_X, f"in [0, {PSI_MAX_X}]")
+_rho_t_max = _checked(float, lambda v: 1 <= v <= MAX_T, f"in [1, {MAX_T}]")
+_rho_step = _checked(
+    float, lambda v: nodes_per_unit(v) is not None, "1/m for an integer m >= 2"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,8 +620,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=8.0)
-    p.add_argument("--step", type=_positive(float), default=1e-3)
+    p.add_argument("--t-max", type=_rho_t_max, default=8.0)
+    p.add_argument("--step", type=_rho_step, default=1e-3)
     p.add_argument("--dump", action="store_true")
 
     p = add("exceptional-scan", _h_exceptional_scan, help="short-window smoothness failures")

@@ -54,12 +54,20 @@ def _integrate(nodes_per_unit: int, n_nodes: int) -> np.ndarray:
     return vals
 
 
+def nodes_per_unit(step: float) -> int | None:
+    """The integer m >= 2 with step = 1/m, or None if there is none."""
+    if not 0 < step <= 0.5 or not math.isfinite(1.0 / step):
+        return None
+    m = round(1.0 / step)
+    return m if abs(m * step - 1.0) <= 1e-9 else None
+
+
 def build_rho_table(t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) -> RhoTable:
     """Tabulate rho on [0, t_max] with the given step (step must divide 1)."""
     if not 1.0 <= t_max <= MAX_T:
         raise ValueError(f"t_max must be in [1, {MAX_T}], got {t_max}")
-    m = round(1.0 / step)
-    if m < 2 or abs(m * step - 1.0) > 1e-9:
+    m = nodes_per_unit(step)
+    if m is None:
         raise ValueError(f"step must be 1/m for an integer m >= 2, got {step}")
     n = round(t_max * m)
     coarse = _integrate(m, n)

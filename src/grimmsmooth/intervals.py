@@ -19,13 +19,15 @@ arithmetic (:func:`_hits`).  It feeds one ``np.maximum.at`` for the lpf
 stores (every sparse prime exceeds every dense one) and
 ``np.multiply.at`` on ``smooth``, repeated on the hits whose cofactor is
 still divisible, one pass per power.  A block with no sparse prime takes
-the strided views alone, as every full block of psi (2^20 values, primes to
-1e4) does, and then the narrowest integer types that hold ``smooth`` and
-``lpf``.  One integer division ``values // smooth`` leaves the residual
-cofactor; :func:`smooth_lpf` needs none, since a value is smooth over the
-sieving primes exactly when ``smooth`` equals it.  That is how verify finds
-the elements that can share a largest prime factor in a run: it sieves
-each 2^21-value block with the primes below the block's longest run only.
+the strided views alone, as every full 2^20-value block of psi with
+y <= 23,301 does, and then the narrowest integer types that hold ``smooth``
+and ``lpf``.  One integer division ``values // smooth`` leaves the residual
+cofactor; :func:`smooth_lpf` and :func:`smooth_count` need none, since a
+value is smooth over the sieving primes exactly when ``smooth`` equals it.
+That is how verify finds the elements that can share a largest prime factor
+in a run (it sieves each 2^21-value block with the primes below the block's
+longest run only), and how psi counts the y-smooth values of a block when
+y < sqrt(x).
 When the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it
 has no factor <= sqrt(hi) left) and is the element's largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
@@ -172,10 +174,9 @@ def lpf_range(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
     return lpf
 
 
-def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
-    """``(rows, lpf)``: the rows i, ascending, of the values lo+i in lo..hi
-    (lo >= 1) whose prime factors all lie at or below ``bound``, and the
-    largest prime factor of each.
+def _bound_smooth(lo: int, hi: int, bound: int, table: PrimeTable, with_lpf: bool):
+    """``(flags, lpf)``: whether each value lo..hi (lo >= 1) has all its
+    prime factors at or below ``bound``, and ``_sieve``'s lpf.
 
     Only the primes <= bound sieve, whatever sqrt(hi) is, and a value is
     bound-smooth exactly when the product of its prime powers below the
@@ -183,9 +184,23 @@ def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    smooth, lpf = _sieve(lo, hi, table.primes_to(bound), with_lpf=True)
-    rows = np.flatnonzero(smooth == np.arange(lo, hi + 1, dtype=smooth.dtype))
+    smooth, lpf = _sieve(lo, hi, table.primes_to(bound), with_lpf)
+    return smooth == np.arange(lo, hi + 1, dtype=smooth.dtype), lpf
+
+
+def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
+    """``(rows, lpf)``: the rows i, ascending, of the values lo+i in lo..hi
+    (lo >= 1) whose prime factors all lie at or below ``bound``, and the
+    largest prime factor of each."""
+    flags, lpf = _bound_smooth(lo, hi, bound, table, with_lpf=True)
+    rows = np.flatnonzero(flags)
     return rows, lpf[rows]
+
+
+def smooth_count(lo: int, hi: int, bound: int, table: PrimeTable) -> int:
+    """How many values in lo..hi (lo >= 1) have all their prime factors at
+    or below ``bound``: the test of :func:`smooth_lpf`, without the lpf."""
+    return int(np.count_nonzero(_bound_smooth(lo, hi, bound, table, False)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,26 @@ multiplicity and look at what is left.
 
 Both regimes collapse to the single test ``residual <= y``, taken as
 ``residual <= max(y, 1)`` so that the unit counts for y < 1 as well.
-:func:`psi`, whose y may exceed 2^53, takes the right side as the Python
-int floor(max(y, 1)), so the int64 residuals are compared exactly; against
-a float they would be rounded to 53 bits.  (:func:`psi_window` needs a
-table to y, so its y stays below 2^31.)
+(:func:`psi_window` needs a table to y, so its y stays below 2^31.)
 
-:func:`psi` counts the y-smooth n in (lo, x] the same way, in blocks of
-``_BLOCK`` values; Psi(x, y) is the count with lo = 0.  The CLI runs it on
-fixed shards (a, a + 2^21] of (0, x] in parallel and adds their counts in
-shard order, so x is limited only by ``PSI_MAX_X`` = 2^62, the headroom of
-the int64 sieve arrays, not by time.
+:func:`psi` splits the same two regimes at ``floor(y) >= isqrt(x)``, taken
+between Python ints:
+
+* in the prime regime every n <= x has at most one prime factor above y,
+  so Psi(x, y) = floor(x) - sum over primes y < p <= x of floor(x/p), the
+  first step of Buchstab's identity.  The primes come from
+  :func:`primes.segments`, so no table is needed;
+* in the sieve regime (floor(y) < isqrt(x)) a value is y-smooth iff the
+  product of its prime powers <= y equals it (:func:`intervals.smooth_count`),
+  so each block is sieved with the primes <= y and nothing is divided.
+
+:func:`psi_part` is the share of a range (a, b] of (0, x] in Psi(x, y): in
+the prime regime (b - a) minus floor(x/p) for the primes p > y in (a, b],
+in the sieve regime the y-smooth count of (a, b].  The shares of any
+partition of (0, x] add up to Psi(x, y), and :func:`psi` is the share of
+(0, x].  The CLI runs it on fixed shards (a, a + 2^21] of (0, x] in
+parallel and adds the shares in shard order, so x is limited only by
+``PSI_MAX_X`` = 2^62, the headroom of the int64 arrays, not by time.
 
 The payoff is the window criterion: if a window (x, x+z] holds more than
 pi(y) many y-smooth numbers, those elements alone overwhelm the supply of
@@ -53,8 +63,8 @@ from math import isqrt
 import numpy as np
 
 from .dickman import build_rho_table, rho
-from .intervals import window_residuals
-from .primes import PrimeTable, TableLimitError
+from .intervals import smooth_count, window_residuals
+from .primes import PrimeTable, TableLimitError, segments
 
 # Largest x for psi: the sieve arrays hold the values themselves as int64.
 PSI_MAX_X = 2**62
@@ -113,26 +123,49 @@ class ExceptionalScanReport:
     first_failures: tuple[int, ...]
 
 
-def psi(x: int, y: float, table: PrimeTable, lo: int = 0) -> int:
-    """Exact count of the y-smooth integers in (lo, x]; with lo = 0 this is
-    Psi(x, y).  The table must reach min(y, sqrt(x))."""
-    x, lo = int(x), int(lo)
-    if not 0 <= lo <= x <= PSI_MAX_X:
-        raise ValueError(f"need 0 <= lo <= x <= {PSI_MAX_X}, got lo={lo}, x={x}")
+def psi_table_limit(x: int, y: float) -> int | None:
+    """The prime table :func:`psi_part` needs for Psi(x, y): floor(y) in the
+    sieve regime, floor(y) < isqrt(x); None in the prime regime."""
+    fy = math.floor(y)
+    return fy if fy < isqrt(x) else None
+
+
+def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
+    """The share of (a, b] in Psi(x, y), for 0 <= a <= b <= x; the shares of
+    any partition of (0, x] add up to Psi(x, y).
+
+    In the prime regime, floor(y) >= isqrt(x), it is (b - a) minus
+    floor(x/p) for every prime p in (max(a, floor(y)), b], and ``table`` is
+    not read.  Otherwise it is the number of y-smooth n in (a, b], and the
+    table must reach floor(y).
+    """
+    x, a, b = int(x), int(a), int(b)
+    if not 0 <= a <= b <= x <= PSI_MAX_X:
+        raise ValueError(f"need 0 <= a <= b <= x <= {PSI_MAX_X}, got a={a}, b={b}, x={x}")
     if y <= 0:
         raise ValueError(f"y must be positive, got {y}")
-    bound = min(int(y), isqrt(x))
-    if table.limit < bound:
+    bound = psi_table_limit(x, y)
+    if bound is None:
+        # p > floor(y) >= isqrt(x), so p^2 > x: no n <= x has two such p
+        share = b - a
+        for ps in segments(max(a, math.floor(y)) + 1, b):
+            share -= int((x // ps).sum())
+        return share
+    if table is None or table.limit < bound:
         raise TableLimitError(
-            f"psi(x={x}, y={y}) needs table limit >= {bound}, have {table.limit}",
+            f"psi(x={x}, y={y}) needs table limit >= {bound}, "
+            f"have {table.limit if table else None}",
             required=bound,
         )
-    cut = math.floor(max(y, 1))
-    count = 0
-    for a in range(lo + 1, x + 1, _BLOCK):
-        res = window_residuals(a, min(a + _BLOCK - 1, x), bound, table)
-        count += int(np.count_nonzero(res <= cut))
-    return count
+    return sum(
+        smooth_count(lo, min(lo + _BLOCK - 1, b), bound, table)
+        for lo in range(a + 1, b + 1, _BLOCK)
+    )
+
+
+def psi(x: int, y: float, table: PrimeTable | None) -> int:
+    """Psi(x, y), the y-smooth n in (0, x]: :func:`psi_part` of (0, x]."""
+    return psi_part(x, y, 0, x, table)
 
 
 def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowReport:

@@ -1,9 +1,10 @@
 import io
 import json
+from math import isqrt
 
 import grimmsmooth
 from grimmsmooth.cli import replay_manifest, run
-from oracles import psi_buchstab, ram_sum_miller_rabin, trial_primes
+from oracles import psi_buchstab, ram_sum_miller_rabin, smooth_count_direct, trial_primes
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -172,6 +173,10 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["rho", "--t", "40"], "--t"),
         (["rho", "--t", "1", "--step", "0"], "--step"),
         (["rho", "--t", "1", "--step", "-0.5"], "--step"),
+        (["rho", "--t", "1", "--step", "0.3"], "--step"),
+        (["rho", "--t", "1", "--step", "5e-324"], "--step"),
+        (["rho", "--dump", "--t-max", "0"], "--t-max"),
+        (["rho", "--dump", "--t-max", "nan"], "--t-max"),
         (["exponents", "--grid", "-3"], "--grid"),
         (["exponents", "--grid", "0"], "--grid"),
         (["g", "--n", "0"], "n must be >= 2"),
@@ -506,3 +511,57 @@ def test_psi_checkpoint_resumes(tmp_path, monkeypatch, capsys):
     other = ["psi", "--x", "20000", "--y", "31", "--checkpoint", str(ck)]
     assert invoke(other, tmp_path) == (2, "")
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_psi_regimes_across_workers(tmp_path, monkeypatch):
+    import grimmsmooth.cli as cli
+
+    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
+    monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 176 or 177 shards
+    mpath = tmp_path / "psi.manifest.json"
+    k = 150
+    for x in (k * k - 1, k * k, k * k + 1):
+        r = isqrt(x)
+        for y in (r - 1, r, r + 0.5, 2.5 * r):
+            want = psi_buchstab(x, y, trial_primes(int(y)))
+            argv = ["psi", "--x", str(x), "--y", str(y)]
+            base = invoke(argv + ["--workers", "1"], tmp_path, manifest=mpath)
+            assert base == (0, f"x,y,psi\n{x},{float(y)},{want}\n"), argv
+            # the prime regime, floor(y) >= isqrt(x), builds no table
+            sieves = int(y) < r
+            limit = json.loads(mpath.read_text())["table_limit"]
+            assert limit == (int(y) if sieves else None), argv
+            assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
+            if not sieves:  # so --table-limit has no effect there
+                assert invoke(argv + ["--table-limit", "1"], tmp_path) == base, argv
+
+
+def test_psi_checkpoint_of_smooth_counts_is_refused(tmp_path, monkeypatch, capsys):
+    # before the prime regime every psi shard stored its smooth count; for
+    # floor(y) >= isqrt(x) the shards now store other shares of the same sum
+    import grimmsmooth.cli as cli
+
+    monkeypatch.setattr(cli, "SHARD_SPAN", 4096)
+    x, y = 20000, 200.0  # isqrt(x) = 141
+    want = psi_buchstab(x, y, trial_primes(200))
+    cuts = [0, 4096, 8192, 12288, 16384, x]
+    counts = [smooth_count_direct(a + 1, b, y) for a, b in zip(cuts, cuts[1:])]
+    assert sum(counts) == want
+    meta = {
+        "cmd": "psi", "x": x, "y": y, "span": 4096,
+        "version": grimmsmooth.__version__,
+    }
+    ck = tmp_path / "psi.ckpt"
+    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(counts[:3])]
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = ["psi", "--x", str(x), "--y", str(y), "--checkpoint", str(ck)]
+    capsys.readouterr()
+    assert invoke(argv, tmp_path) == (2, "")
+    assert "checkpoint" in capsys.readouterr().err
+    ck.unlink()
+    assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
+    lines = ck.read_text().splitlines()
+    assert json.loads(lines[0]) == {"meta": meta | {"regime": "primes"}}
+    shares = [json.loads(line)["result"] for line in lines[1:]]
+    # resuming from the smooth counts would have printed a wrong sum
+    assert sum(shares) == want != sum(counts[:3]) + sum(shares[3:])

@@ -3,11 +3,10 @@ import math
 import sys
 from dataclasses import asdict
 from math import isqrt
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grimmsmooth.smooth as smooth
@@ -18,6 +17,7 @@ from grimmsmooth import (
     g,
     grimm_upper_bound,
     psi,
+    psi_part,
     psi_window,
     rho,
 )
@@ -102,12 +102,12 @@ def test_psi_monotone_in_x_and_y(table_1e4):
 
 def test_psi_cap(table_1e4, capsys):
     # the bound is the int64 headroom of the sieve arrays, 2^62
-    for x, lo in ((2**62 + 1, 0), (10, -1), (10, 11)):
-        with pytest.raises(ValueError, match="lo <= x <= 4611686018427387904"):
-            psi(x, 10, table_1e4, lo=lo)
-    assert psi(2**62, 10, table_1e4, lo=2**62) == 0
+    for x, a, b in ((2**62 + 1, 0, 10), (10, -1, 10), (10, 11, 10), (10, 0, 11)):
+        with pytest.raises(ValueError, match="a <= b <= x <= 4611686018427387904"):
+            psi_part(x, 10, a, b, table_1e4)
+    assert psi_part(2**62, 10, 2**62, 2**62, table_1e4) == 0
     with pytest.raises(TableLimitError):
-        psi(10**9, 10**5, table_1e4)
+        psi(10**9, 2 * 10**4, table_1e4)  # the sieve regime: 2e4 < isqrt(1e9)
     argv = ["psi", "--x", str(2**62 + 1), "--y", "10", "--manifest", "-"]
     assert run(argv, stdout=io.StringIO()) == 2
     assert "argument --x" in capsys.readouterr().err
@@ -117,14 +117,15 @@ def test_psi_past_the_old_cap(table_1e4):
     # one block-sized range (1e8, 1e8 + 2^20], counted on its own
     hi = 10**8 + 2**20
     want = psi_buchstab(hi, 10, PRIMES_1E4) - psi_buchstab(10**8, 10, PRIMES_1E4)
-    assert psi(hi, 10, table_1e4, lo=10**8) == want
+    assert psi_part(hi, 10, 10**8, hi, table_1e4) == want
 
 
 def test_psi_ranges_add_up(table_1e4):
-    x, y = 50_000, 23
-    cuts = [0, 1, 2, 1000, 2**14, 2**14 + 1, 33_333, x]
-    parts = [psi(b, y, table_1e4, lo=a) for a, b in zip(cuts, cuts[1:])]
-    assert sum(parts) == psi(x, y, table_1e4) == psi_buchstab(x, y, PRIMES_1E4)
+    x = 50_000
+    cuts = [0, 1, 2, 200, 223, 224, 1000, 2**14, 2**14 + 1, 33_333, x]
+    for y in (23, 300):  # below and above isqrt(x) = 223
+        parts = [psi_part(x, y, a, b, table_1e4) for a, b in zip(cuts, cuts[1:])]
+        assert sum(parts) == psi(x, y, table_1e4) == psi_buchstab(x, y, PRIMES_1E4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,17 +139,59 @@ def test_psi_matches_large_y_oracle(table_1e4, x, extra):
     assert psi(x, y, table_1e4) == psi_large_y(x, y)
 
 
-def test_smoothness_cut_is_exact_past_2_53(monkeypatch):
-    # the residual r = 2^62 - 511 rounds down to the float y = 2^62 - 512,
-    # so only an integer comparison finds r > y and the element not smooth
-    r, y = 2**62 - 511, float(2**62 - 512)
-    monkeypatch.setattr(
-        smooth, "window_residuals",
-        lambda lo, hi, bound, table: np.array([r], dtype=np.int64),
-    )
-    table = SimpleNamespace(limit=2**31)
-    assert psi(r, y, table, lo=r - 1) == 0
-    assert psi(r, y + 1024, table, lo=r - 1) == 1
+def test_prime_regime_integer_boundary(table_1e4):
+    # floor(y) = 10 = isqrt(100) already takes the prime regime
+    assert psi(100, 10.5, None) == 46 == smooth_count_direct(1, 100, 10.5)
+    assert psi(100, 11, None) == 55 == smooth_count_direct(1, 100, 11)
+    # y >= x counts every n <= x, and the prime regime needs no table
+    for x in (0, 1, 2, 99, 100, 10**12, 10**18, 2**62):
+        for y in (x, x + 0.5, 1e300):
+            if y > 0:
+                assert psi(x, y, None) == x, (x, y)
+    # floor(y) is compared with isqrt(x) as an int: at k = 2^31 - 1 the
+    # float sqrt(k^2 - 1) rounds to k, which would call y = k - 1 too small
+    k = 2**31 - 1
+    assert math.sqrt(k * k - 1) == k
+    assert smooth.psi_table_limit(k * k - 1, float(k - 1)) is None
+    assert smooth.psi_table_limit(k * k, float(k - 1)) == k - 1
+    assert smooth.psi_table_limit(k * k, k - 0.5) == k - 1
+    assert smooth.psi_table_limit(k * k, float(k)) is None
+    # y just below sqrt(x) keeps the sieve and its table
+    with pytest.raises(TableLimitError):
+        psi(100, 9.99, None)
+
+
+@st.composite
+def boundary_args(draw):
+    """x at k^2 - 1, k^2 or k^2 + 1, and y one below, at, half above and
+    2.5 times isqrt(x): both sides of the regime split."""
+    k = draw(st.integers(1, 450))
+    x = k * k + draw(st.sampled_from((-1, 0, 1)))
+    r = isqrt(x)
+    y = draw(st.sampled_from((r - 1, r, r + 0.5, 2.5 * r)))
+    assume(y > 0)
+    return x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_args(), st.integers(0, 2**20))
+@example((24, 3), 7)  # k = 5: x = k^2 - 1, y = isqrt(x) - 1 sieves
+@example((25, 5), 7)  # y = isqrt(x) takes the prime regime
+@example((202_500, 450), 100_000)
+def test_psi_regime_boundary(table_1e4, primes_2e5, args, cut):
+    x, y = args
+    sieves = math.floor(y) < isqrt(x)
+    assert (smooth.psi_table_limit(x, y) is not None) == sieves
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 50_000))  # one frame per prime <= y
+    try:
+        want = psi_buchstab(x, y, primes_2e5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert psi(x, y, table_1e4 if sieves else None) == want
+    cut = min(cut, x)
+    parts = psi_part(x, y, 0, cut, table_1e4) + psi_part(x, y, cut, x, table_1e4)
+    assert parts == want
 
 
 def test_psi_window_examples(table_1e4):
