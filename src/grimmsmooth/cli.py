@@ -29,7 +29,7 @@ from math import isqrt
 
 from . import __version__
 from . import exponents as expo
-from .dickman import MAX_T, build_rho_table, nodes_per_unit, rho
+from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
 from .primes import MAX_LIMIT, PrimeTable, TableLimitError, check_dusart, gap_check, segments
 from .smooth import (
@@ -550,13 +550,15 @@ def _positive(cast):
 
 
 _finite_float = _checked(float, math.isfinite, "finite")
+_smooth_y = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 # the range scans stay within 2^31, the range they are tested on
 _scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
 _psi_x = _checked(int, lambda v: 0 <= v <= PSI_MAX_X, f"in [0, {PSI_MAX_X}]")
 _rho_t_max = _checked(float, lambda v: 1 <= v <= MAX_T, f"in [1, {MAX_T}]")
 _rho_step = _checked(
-    float, lambda v: nodes_per_unit(v) is not None, "1/m for an integer m >= 2"
+    float, lambda v: nodes_per_unit(v) is not None,
+    f"1/m for an integer m in [2, {MAX_NODES_PER_UNIT}]",
 )
 
 
@@ -605,17 +607,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
     p.add_argument("--x", type=_psi_x, required=True)
-    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--y", type=_smooth_y, required=True)
     p.add_argument("--checkpoint", default=None)
 
     p = add("psi-window", _h_psi_window, help="smooth count in (x, x+z]")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--y", type=_smooth_y, required=True)
 
     p = add("grimm-bound", _h_grimm_bound, help="certified g(x) < z from a smooth window")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--y", type=_smooth_y, required=True)
     p.add_argument("--z", type=int, required=True)
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")

@@ -30,6 +30,13 @@ DEFAULT_STEP = 1e-3
 # would be extrapolation noise, so refuse to build that far.
 MAX_T = 32.0
 
+# Finest grid, in nodes per unit of t.  The solver walks 3 t_max m nodes in
+# a Python loop over float arrays of up to 2 t_max m + 1 entries (at
+# m = 10^5 and t_max = 32, about 10^7 steps over about 80 MB of arrays),
+# and the extrapolated grid is at rounding level from m = 1000 on, so a
+# finer step costs time and memory for nothing.
+MAX_NODES_PER_UNIT = 10**5
+
 
 @dataclass(frozen=True)
 class RhoTable:
@@ -55,11 +62,12 @@ def _integrate(nodes_per_unit: int, n_nodes: int) -> np.ndarray:
 
 
 def nodes_per_unit(step: float) -> int | None:
-    """The integer m >= 2 with step = 1/m, or None if there is none."""
+    """The integer m in [2, MAX_NODES_PER_UNIT] with step = 1/m, or None if
+    there is none."""
     if not 0 < step <= 0.5 or not math.isfinite(1.0 / step):
         return None
     m = round(1.0 / step)
-    return m if abs(m * step - 1.0) <= 1e-9 else None
+    return m if m <= MAX_NODES_PER_UNIT and abs(m * step - 1.0) <= 1e-9 else None
 
 
 def build_rho_table(t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) -> RhoTable:
@@ -68,7 +76,10 @@ def build_rho_table(t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) ->
         raise ValueError(f"t_max must be in [1, {MAX_T}], got {t_max}")
     m = nodes_per_unit(step)
     if m is None:
-        raise ValueError(f"step must be 1/m for an integer m >= 2, got {step}")
+        raise ValueError(
+            f"step must be 1/m for an integer m in [2, {MAX_NODES_PER_UNIT}], "
+            f"got {step}"
+        )
     n = round(t_max * m)
     coarse = _integrate(m, n)
     fine = _integrate(2 * m, 2 * n)[::2]

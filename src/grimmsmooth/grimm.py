@@ -42,8 +42,10 @@ lpf divides the difference of the two elements, so it lies below K, the
 block's longest run: only the (K-1)-smooth elements can collide, and the
 block is sieved with the primes below K alone (about 36 of them near 1e7,
 where sqrt(x) would take about 420), leaving about 3% of its values to key
-by (run, lpf) and sort.  The smooth numbers are the only obstruction, as
-in the paper.
+by (run, lpf) and sort.  The sieve and the keying walk the block in pieces
+of 2^17 values (2^16 from 2^31 on), so no array spans the block, and one
+sort over every piece's keys lets a run that crosses a piece edge collide
+across it.  The smooth numbers are the only obstruction, as in the paper.
 """
 
 from __future__ import annotations
@@ -341,11 +343,15 @@ def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable) -> np
     smooth too and drop out as their own lpf.
     """
     longest = int(np.max(np.diff(ps))) - 1
-    rows, lpf = smooth_lpf(blo, bhi, longest - 1, table)
-    values = blo + rows
-    keep = lpf != values
-    run = np.searchsorted(ps, values[keep]) - 1
-    keys = np.sort(run * longest + lpf[keep])  # lpf < longest
+    keys = []
+    for rows, lpf in smooth_lpf(blo, bhi, longest - 1, table):
+        values = blo + rows
+        keep = lpf != values
+        run = np.searchsorted(ps, values[keep]) - 1
+        keys.append(run * longest + lpf[keep])  # lpf < longest
+    # one sort over every piece's keys: a run that crosses a piece edge
+    # collides across it too
+    keys = np.sort(np.concatenate(keys))
     dup = keys[1:][keys[1:] == keys[:-1]]
     return np.unique(dup // longest)
 

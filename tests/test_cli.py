@@ -175,6 +175,8 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["rho", "--t", "1", "--step", "-0.5"], "--step"),
         (["rho", "--t", "1", "--step", "0.3"], "--step"),
         (["rho", "--t", "1", "--step", "5e-324"], "--step"),
+        # the first 1/m past the finest grid, refused before any grid is built
+        (["rho", "--t", "1", "--step", str(1 / 100_001)], "--step"),
         (["rho", "--dump", "--t-max", "0"], "--t-max"),
         (["rho", "--dump", "--t-max", "nan"], "--t-max"),
         (["exponents", "--grid", "-3"], "--grid"),
@@ -197,6 +199,13 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
         (["psi", "--x", "10", "--y", "inf"], "--y"),
+        (["psi", "--x", "0", "--y", "-1"], "--y"),
+        (["psi", "--x", "10", "--y", "-1"], "--y"),
+        (["psi", "--x", "10", "--y", "0"], "--y"),
+        (["psi-window", "--x", "10", "--z", "5", "--y", "-1"], "--y"),
+        (["psi-window", "--x", "10", "--z", "5", "--y", "0"], "--y"),
+        (["grimm-bound", "--x", "100", "--y=-1", "--z", "5"], "--y"),
+        (["grimm-bound", "--x", "100", "--y", "0", "--z", "5"], "--y"),
         (["ram-sum", "--x", "-5", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "0", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "100", "--alpha", "nan"], "--alpha"),

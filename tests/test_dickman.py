@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from grimmsmooth import build_rho_table, rho
+from grimmsmooth import build_rho_table, dickman, rho
 
 
 def test_flat_part_and_range():
@@ -25,6 +25,21 @@ def test_build_validation():
         build_rho_table(step=0.3)  # does not divide 1
     with pytest.raises(ValueError):
         build_rho_table(t_max=100.0)
+
+
+def test_finest_step_is_bounded(monkeypatch):
+    # the bound is checked before any grid is built
+    def refuse(m, n):
+        raise AssertionError(f"built a grid of {n} nodes")
+
+    monkeypatch.setattr(dickman, "_integrate", refuse)
+    top = dickman.MAX_NODES_PER_UNIT
+    assert top == 10**5
+    assert dickman.nodes_per_unit(1e-5) == top
+    for step in (1 / (top + 1), 1e-9):
+        assert dickman.nodes_per_unit(step) is None
+        with pytest.raises(ValueError, match=rf"m in \[2, {top}\]"):
+            build_rho_table(step=step)
 
 
 def test_analytic_on_1_2():

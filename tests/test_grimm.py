@@ -302,6 +302,32 @@ def test_smooth_keying_matches_full_lpf_keying():
     assert sparse >= 10
 
 
+def straddling_collisions(lo, hi, piece, table):
+    """How many runs closing in (lo, hi] hold two elements with the same
+    lpf in different pieces of ``piece`` values from the block's start."""
+    count = 0
+    for bps, blo, bhi in grimm._iter_blocks(bounding_primes(lo, hi)):
+        lpf = lpf_range(blo, bhi, table)
+        for a in colliding_runs_full_lpf(bps, blo, lpf).tolist():
+            rows = np.arange(bps[a] + 1, bps[a + 1]) - blo
+            pieces = {}
+            for i, q in zip(rows.tolist(), lpf[rows].tolist()):
+                pieces.setdefault(q, set()).add(i // piece)
+            count += any(len(s) > 1 for s in pieces.values())
+    return count
+
+
+@pytest.mark.parametrize("piece", [16, 64, 99])
+def test_smooth_keying_in_pieces(monkeypatch, piece):
+    # many pieces per block, colliding runs whose equal-lpf elements lie in
+    # different pieces, and pieces that switch from int32 to int64 at 2^31
+    monkeypatch.setattr(intervals, "_PIECE", piece)
+    table = build_table(50_000)
+    check_blocks(2, 100_000, table)
+    assert straddling_collisions(2, 100_000, piece, table) >= 3
+    check_blocks(2**31 - 40_000, 2**31 + 40_000, table)
+
+
 def test_smooth_keying_past_2_32():
     lo = 2**32 + 12345
     check_blocks(lo, lo + 2**21, build_table(isqrt(lo + 2**22) + 1))
