@@ -36,6 +36,8 @@ from .primes import (
     build_table,
     check_dusart,
     gap_check,
+    pi_table,
+    prime_pi,
     segments,
 )
 from .smooth import (
@@ -96,6 +98,8 @@ __all__ = [
     "has_representation",
     "phi",
     "phi_sum",
+    "pi_table",
+    "prime_pi",
     "psi",
     "psi_part",
     "psi_window",

@@ -31,7 +31,10 @@ from . import __version__
 from . import exponents as expo
 from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
-from .primes import MAX_LIMIT, PrimeTable, TableLimitError, check_dusart, gap_check, segments
+from .primes import (
+    MAX_LIMIT, PI_TABLE_MAX_ROOT, PrimeTable, TableLimitError, check_dusart, gap_check,
+    segments,
+)
 from .smooth import (
     PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound,
     psi_part, psi_table_limit, psi_window, scan_c0,
@@ -370,22 +373,28 @@ def _h_dusart(args):
 
 
 def _h_psi(args):
-    # the prime regime reads no table, so none is built and --table-limit
-    # has no effect there
     bound = psi_table_limit(args.x, args.y)
-    table = None if bound is None else _get_table(bound, args)
-    shards = [
-        (args.x, args.y, a, min(a + SHARD_SPAN, args.x))
-        for a in range(0, args.x, SHARD_SPAN)
-    ]
-    meta = {
-        "cmd": "psi", "x": args.x, "y": args.y, "span": SHARD_SPAN,
-        "version": __version__,
-    }
+    meta = {"cmd": "psi", "x": args.x, "y": args.y, "version": __version__}
     if bound is None:
-        # a prime-regime shard's share is not its smooth count, so a
-        # checkpoint of smooth counts for the same (x, y) must not resume
-        meta["regime"] = "primes"
+        # the prime regime counts from pi tables, not from a prime table, so
+        # --table-limit has no effect there.  It runs as one shard (0, x] in
+        # this process, and its header records span x: a checkpoint of
+        # smooth counts, or of the 2^21-value prime-regime shards of earlier
+        # versions, for the same (x, y) holds other shares and must not resume.
+        if math.floor(args.y) < args.x and isqrt(args.x) > PI_TABLE_MAX_ROOT:
+            raise ValueError(
+                f"--x must be below {(PI_TABLE_MAX_ROOT + 1) ** 2} when "
+                f"isqrt(x) <= y < x, the pi table's bound; got {args.x}"
+            )
+        table, shards = None, [(args.x, args.y, 0, args.x)]
+        meta |= {"span": args.x, "regime": "primes"}
+    else:
+        table = _get_table(bound, args)
+        shards = [
+            (args.x, args.y, a, min(a + SHARD_SPAN, args.x))
+            for a in range(0, args.x, SHARD_SPAN)
+        ]
+        meta["span"] = SHARD_SPAN
     parts = _run_shards(
         shards, _psi_shard, table, args.worker_count, args.checkpoint, meta
     )
@@ -421,6 +430,9 @@ def _h_rho(args):
         if not 0 <= args.t <= MAX_T:
             raise ValueError(f"--t must be in [0, {MAX_T}], got {args.t}")
         t_max = max(t_max, math.ceil(args.t))
+        if not args.dump:
+            # the point reads nodes up to ceil(t) only
+            t_max = min(t_max, math.ceil(args.t) + 1)
     table = build_rho_table(t_max=t_max, step=args.step)
     if args.dump:
         rows = [

@@ -25,6 +25,11 @@ numbers.  A ``pi`` query costs one checkpoint lookup plus a popcount over
 at most one segment of bits.  :meth:`PrimeTable.primes_to` hands the window
 sieves their sieving primes as one int64 array, read off those bits, cached
 and grown on demand.
+
+:func:`pi_table` counts primes without listing them: Lucy's form of the
+Legendre/Meissel recursion gives pi at every value x // k from the primes
+<= isqrt(x) alone, in O(x^(3/4) / log x) time and O(sqrt(x)) memory, and
+:func:`prime_pi` reads pi(x) off it.  psi's prime regime is built on it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,12 @@ import numpy as np
 # Largest supported table; the constraint is build time, not the packed
 # storage (2**31 packs into 128 MiB).
 MAX_LIMIT = 2**31
+
+# Largest isqrt(x) for a pi table, so x < 2^48.  A table costs about 48
+# bytes per unit of isqrt(x) at its peak (three int64 arrays and their
+# temporaries): pi(1e13) took 10 s at 158 MiB and pi(1e14) 88 s at 482 MiB
+# on 2 vCPUs, which puts the bound near 800 MiB and 3 minutes.
+PI_TABLE_MAX_ROOT = 1 << 24
 
 # Odd numbers per pi checkpoint: a segment of 2^20 integers.
 _SEGMENT_ODDS = 1 << 19
@@ -106,6 +117,50 @@ def segments(lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.array([2], dtype=np.int64)
     for o, flags in _odd_flags(lo // 2, (hi + 1) // 2):
         yield 2 * (np.flatnonzero(flags) + o) + 1
+
+
+def pi_table(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lucy's table of pi at every value x // k, as ``(small, large)``:
+    ``small[v]`` = pi(v) for v <= r = isqrt(x), and ``large[k]`` = pi(x // k)
+    for 1 <= k <= r (``large[0]`` is 0).
+
+    Every S(v) starts at v - 1, and each prime p <= r, in ascending order,
+    takes S(v) -= S(v // p) - S(p - 1) at every v >= p^2 in the table,
+    which strikes the composites whose least prime factor is p.  The values
+    x // k // p are again values of the table: ``large[k p]`` when k p <= r,
+    ``small[x // (k p)]`` otherwise.  Each update reads the old values, so
+    it is one numpy pass per prime.  That is O(x^(3/4) / log x) work over
+    three int64 arrays of r + 1 entries, with temporaries of up to r
+    entries; r is refused above ``PI_TABLE_MAX_ROOT`` before any of them is
+    allocated.
+    """
+    x = int(x)
+    r = isqrt(max(x, 0))
+    if r > PI_TABLE_MAX_ROOT:
+        raise ValueError(
+            f"a pi table for x = {x} needs isqrt(x) <= {PI_TABLE_MAX_ROOT}, got {r}"
+        )
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # quot[k] = x // k
+    large = quot - 1
+    large[0] = 0
+    for ps in segments(2, r):
+        for p in ps.tolist():
+            sp = int(small[p - 1])
+            kmax = min(r, x // (p * p))
+            k1 = min(kmax, r // p)
+            large[1 : k1 + 1] -= large[p : k1 * p + 1 : p] - sp
+            large[k1 + 1 : kmax + 1] -= small[quot[k1 + 1 : kmax + 1] // p] - sp
+            if p * p <= r:  # v // p for v = p^2 .. r runs over p .. r // p, p times each
+                small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r - p * p + 1] - sp
+    return small, large
+
+
+def prime_pi(x: int) -> int:
+    """pi(x) for an integer x >= 0 from :func:`pi_table`, with no sieve of
+    [1, x]: pi(1e10) = 455,052,511 in about 0.15 s."""
+    return int(pi_table(x)[1][1]) if x >= 2 else 0
 
 
 def _joined(lo: int, hi: int) -> np.ndarray:

@@ -21,8 +21,12 @@ between Python ints:
 
 * in the prime regime every n <= x has at most one prime factor above y,
   so Psi(x, y) = floor(x) - sum over primes y < p <= x of floor(x/p), the
-  first step of Buchstab's identity.  The primes come from
-  :func:`primes.segments`, so no table is needed;
+  first step of Buchstab's identity.  Grouped by k = floor(x/p), that sum
+  needs pi only at the values x // k, which :func:`primes.pi_table` holds
+  for all k at once: no prime above y is listed, and a call costs
+  O(x^(3/4) / log x) for the table of x (0.2 s at x = 1e10), plus the
+  smaller tables for pi(max(a, floor(y))) and, for a part (a, b] with
+  b < x, for pi(b);
 * in the sieve regime (floor(y) < isqrt(x)) a value is y-smooth iff the
   product of its prime powers <= y equals it (:func:`intervals.smooth_count`),
   so each block is sieved with the primes <= y and nothing is divided.
@@ -31,9 +35,11 @@ between Python ints:
 the prime regime (b - a) minus floor(x/p) for the primes p > y in (a, b],
 in the sieve regime the y-smooth count of (a, b].  The shares of any
 partition of (0, x] add up to Psi(x, y), and :func:`psi` is the share of
-(0, x].  The CLI runs it on fixed shards (a, a + 2^21] of (0, x] in
-parallel and adds the shares in shard order, so x is limited only by
-``PSI_MAX_X`` = 2^62, the headroom of the int64 arrays, not by time.
+(0, x].  The CLI runs the sieve regime on fixed shards (a, a + 2^21] of
+(0, x] in parallel and adds the shares in shard order, so x is limited only
+by ``PSI_MAX_X`` = 2^62, the headroom of the int64 arrays, not by time.  It
+runs the prime regime as one share of (0, x], with no pool; there the
+pi table needs isqrt(x) <= 2^24 unless y >= x.
 
 The payoff is the window criterion: if a window (x, x+z] holds more than
 pi(y) many y-smooth numbers, those elements alone overwhelm the supply of
@@ -64,7 +70,7 @@ import numpy as np
 
 from .dickman import build_rho_table, rho
 from .intervals import smooth_count, window_residuals
-from .primes import PrimeTable, TableLimitError, segments
+from .primes import PrimeTable, TableLimitError, pi_table, prime_pi
 
 # Largest x for psi: the sieve arrays hold the values themselves as int64.
 PSI_MAX_X = 2**62
@@ -130,14 +136,35 @@ def psi_table_limit(x: int, y: float) -> int | None:
     return fy if fy < isqrt(x) else None
 
 
+def _prime_multiples(x: int, c: int, b: int) -> int:
+    """The sum of floor(x/p) over the primes c < p <= b, for isqrt(x) <= c.
+
+    Grouped by k = floor(x/p), it is
+    (x//b)(pi(b) - pi(c)) + sum over x//b < k <= x//(c+1) of (pi(x//k) - pi(c)).
+    Since c >= isqrt(x), every such k is <= isqrt(x), so each pi(x//k) is an
+    entry of x's :func:`primes.pi_table`; so is pi(b) when b = x, and pi(c)
+    and pi(b) for b < x come from their own tables.
+    """
+    if c >= b:
+        return 0
+    large = pi_table(x)[1]
+    pi_b = int(large[1]) if b == x else prime_pi(b)
+    pi_c = prime_pi(c)
+    kb, kc = x // b, x // (c + 1)
+    # pi(c) comes off each term first, so no partial sum exceeds the total
+    return kb * (pi_b - pi_c) + int((large[kb + 1 : kc + 1] - pi_c).sum())
+
+
 def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
     """The share of (a, b] in Psi(x, y), for 0 <= a <= b <= x; the shares of
     any partition of (0, x] add up to Psi(x, y).
 
     In the prime regime, floor(y) >= isqrt(x), it is (b - a) minus
-    floor(x/p) for every prime p in (max(a, floor(y)), b], and ``table`` is
-    not read.  Otherwise it is the number of y-smooth n in (a, b], and the
-    table must reach floor(y).
+    floor(x/p) for every prime p in (max(a, floor(y)), b], counted from pi
+    tables by :func:`_prime_multiples`; ``table`` is not read, and
+    isqrt(x) must not exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24 unless
+    floor(y) >= b.  Otherwise it is the number of y-smooth n in (a, b], and
+    the table must reach floor(y).
     """
     x, a, b = int(x), int(a), int(b)
     if not 0 <= a <= b <= x <= PSI_MAX_X:
@@ -147,10 +174,7 @@ def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
     bound = psi_table_limit(x, y)
     if bound is None:
         # p > floor(y) >= isqrt(x), so p^2 > x: no n <= x has two such p
-        share = b - a
-        for ps in segments(max(a, math.floor(y)) + 1, b):
-            share -= int((x // ps).sum())
-        return share
+        return b - a - _prime_multiples(x, max(a, math.floor(y)), b)
     if table is None or table.limit < bound:
         raise TableLimitError(
             f"psi(x={x}, y={y}) needs table limit >= {bound}, "

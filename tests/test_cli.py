@@ -3,8 +3,12 @@ import json
 from math import isqrt
 
 import grimmsmooth
+from grimmsmooth import build_rho_table
 from grimmsmooth.cli import replay_manifest, run
-from oracles import psi_buchstab, ram_sum_miller_rabin, smooth_count_direct, trial_primes
+from oracles import (
+    psi_buchstab, psi_large_y, ram_sum_miller_rabin, sieve_primes, smooth_count_direct,
+    trial_primes,
+)
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -104,6 +108,38 @@ def test_rho_point_and_dump(tmp_path):
     assert lines[1] == "0.0,1.0"
 
 
+def test_rho_point_builds_the_grid_to_ceil_t_plus_one(tmp_path, monkeypatch):
+    import grimmsmooth.cli as cli
+
+    built = []
+
+    def spy(t_max, step):
+        built.append(t_max)
+        return build_rho_table(t_max=t_max, step=step)
+
+    monkeypatch.setattr(cli, "build_rho_table", spy)
+    # the bytes printed before the grid was cut to ceil(t) + 1
+    for t, t_max, line in [
+        ("0", 1, "0.0,1.0"),
+        ("0.5", 2, "0.5,1.0"),
+        ("1", 2, "1.0,1.0"),
+        ("2.5", 4, "2.5,0.1303195618322515"),
+        ("3", 4, "3.0,0.04860838829113262"),
+        ("7.5", 8, "7.5,1.7178674976558836e-07"),
+        ("8", 8, "8.0,3.232069355272203e-08"),
+        ("8.5", 9, "8.5,5.840570030976966e-09"),
+        ("32", 32, "32.0,1.020891477907295e-16"),
+    ]:
+        built.clear()
+        assert invoke(["rho", "--t", t], tmp_path) == (0, f"t,rho\n{line}\n"), t
+        assert built == [t_max], t
+    # --t-max still raises the grid, and a dump keeps the whole of it
+    assert invoke(["rho", "--t", "2.5", "--t-max", "3"], tmp_path)[0] == 0
+    assert built[-1] == 3
+    assert invoke(["rho", "--t", "2.5", "--dump", "--step", "0.5"], tmp_path)[0] == 0
+    assert built[-1] == 8
+
+
 def test_exceptional_scan(tmp_path):
     code, out = invoke(
         ["exceptional-scan", "--x-max", "400", "--eps", "0.45", "--c0", "0.01"],
@@ -191,6 +227,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["dusart-check", "--limit", str(2**31 + 1)], "--limit"),
         (["psi", "--x", "-5", "--y", "3"], "--x"),
         (["psi", "--x", str(2**62 + 1), "--y", "3"], "--x"),
+        # the prime regime's pi table is refused before it is allocated
+        (["psi", "--x", str(2**62), "--y", str(2**31)], "--x"),
+        (["psi", "--x", str(2**48 + 2**25 + 1), "--y", str(2**24 + 1)], "--x"),
         (["represent", "--n", "-5", "--k", "3"], "--n"),
         (["represent", "--n", "0", "--k", "3"], "--n"),
         (["g", "--n", "100", "--workers", "0"], "--workers"),
@@ -287,6 +326,19 @@ def test_one_shard_runs_in_process(tmp_path, monkeypatch):
     argv = ["exceptional-scan", "--x-max", "3000", "--eps", "0.4"]
     base = invoke(argv + ["--workers", "1"], tmp_path)
     assert base[0] == 0
+    assert invoke(argv + ["--workers", "2"], tmp_path) == base
+
+
+def test_psi_prime_regime_runs_in_process(tmp_path, monkeypatch):
+    import os
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["psi", "--x", "20000000", "--y", "10000"]
+    base = invoke(argv + ["--workers", "1"], tmp_path)
+    assert base == (0, "x,y,psi\n20000000,10000.0,8532550\n")
     assert invoke(argv + ["--workers", "2"], tmp_path) == base
 
 
@@ -570,7 +622,36 @@ def test_psi_checkpoint_of_smooth_counts_is_refused(tmp_path, monkeypatch, capsy
     ck.unlink()
     assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
     lines = ck.read_text().splitlines()
-    assert json.loads(lines[0]) == {"meta": meta | {"regime": "primes"}}
+    assert json.loads(lines[0]) == {"meta": meta | {"regime": "primes", "span": x}}
     shares = [json.loads(line)["result"] for line in lines[1:]]
     # resuming from the smooth counts would have printed a wrong sum
     assert sum(shares) == want != sum(counts[:3]) + sum(shares[3:])
+
+
+def test_psi_checkpoint_of_prime_regime_shards_is_refused(tmp_path, capsys):
+    # earlier versions ran the prime regime on 2^21-value shards under the
+    # same header bar the span; resuming such a file with one shard (0, x]
+    # would print the share of (0, 2^21] as Psi(x, y)
+    x, y = 10**7, 10_000.0  # isqrt(x) = 3162
+    ps = sieve_primes(3 * 2**21)
+    cuts = [0, 2**21, 2**22, 3 * 2**21]
+    shares = [
+        (b - a) - int((x // ps[(ps > max(a, y)) & (ps <= b)]).sum())
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    meta = {
+        "cmd": "psi", "x": x, "y": y, "span": 2**21,
+        "version": grimmsmooth.__version__, "regime": "primes",
+    }
+    ck = tmp_path / "psi.ckpt"
+    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(shares)]
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = ["psi", "--x", str(x), "--y", str(y), "--checkpoint", str(ck)]
+    capsys.readouterr()
+    assert invoke(argv, tmp_path) == (2, "")
+    assert str(ck) in capsys.readouterr().err
+    want = psi_large_y(x, y)
+    assert shares[0] != want
+    ck.unlink()
+    assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
+    assert json.loads(ck.read_text().splitlines()[0]) == {"meta": meta | {"span": x}}

@@ -11,6 +11,8 @@ from grimmsmooth import (
     build_table,
     check_dusart,
     gap_check,
+    pi_table,
+    prime_pi,
     segments,
 )
 from grimmsmooth import primes as primes_mod
@@ -142,6 +144,37 @@ def test_segments_match_dense_sieve(lo, span, chunk):
 def test_primes_to_matches_dense_sieve(table_1e6, bound):
     ref = DENSE_1E6[DENSE_1E6 <= bound]
     assert table_1e6.primes_to(bound).tolist() == ref.tolist()
+
+
+def test_prime_pi_matches_table_exhaustively(table_1e4):
+    assert [prime_pi(x) for x in range(10_001)] == [table_1e4.pi(x) for x in range(10_001)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pi_table_matches_table_property(table_1e6, x):
+    # every entry: pi(v) for v <= isqrt(x) and pi(x // k) for 1 <= k <= isqrt(x)
+    small, large = pi_table(x)
+    r = math.isqrt(x)
+    assert small.tolist() == [table_1e6.pi(v) for v in range(r + 1)]
+    assert large.tolist() == [0] + [table_1e6.pi(x // k) for k in range(1, r + 1)]
+    assert prime_pi(x) == table_1e6.pi(x)
+
+
+def test_prime_pi_pins():
+    # OEIS A006880
+    assert prime_pi(10**9) == 50_847_534
+    assert prime_pi(10**10) == 455_052_511
+
+
+def test_pi_table_refuses_a_large_root_before_allocating(monkeypatch):
+    monkeypatch.setattr(primes_mod, "PI_TABLE_MAX_ROOT", 10)
+    assert prime_pi(120) == 30  # isqrt(120) = 10
+    with pytest.raises(ValueError, match="isqrt"):
+        prime_pi(121)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="isqrt"):
+        pi_table(2**62)
 
 
 def test_gap_check_small_limits():

@@ -108,6 +108,10 @@ def test_psi_cap(table_1e4, capsys):
     assert psi_part(2**62, 10, 2**62, 2**62, table_1e4) == 0
     with pytest.raises(TableLimitError):
         psi(10**9, 2 * 10**4, table_1e4)  # the sieve regime: 2e4 < isqrt(1e9)
+    # the prime regime's pi table stops at isqrt(x) = 2^24, unless y >= x
+    with pytest.raises(ValueError, match="isqrt"):
+        psi(2**62, 2**31, None)
+    assert psi(2**62, 2**62, None) == 2**62
     argv = ["psi", "--x", str(2**62 + 1), "--y", "10", "--manifest", "-"]
     assert run(argv, stdout=io.StringIO()) == 2
     assert "argument --x" in capsys.readouterr().err
