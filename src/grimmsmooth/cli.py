@@ -6,8 +6,12 @@ reproducible run manifest next to every invocation.
 Determinism contract: for fixed flags the emitted bytes are identical across
 runs and across ``--workers`` settings.  Work is split into fixed-size shards
 whose boundaries depend only on the requested range (never on the worker
-count); workers merely execute shards in parallel, and results are merged in
-shard order.  Long scans can checkpoint per shard and resume.
+count).  One generator, :func:`_shards`, runs the shards of every sharded
+command (verify-grimm, gap-scan, psi, exceptional-scan): it walks the range
+lazily, computes in a fork pool or in this process, reads and appends the
+per-shard checkpoint, and yields the results in shard order, which each
+handler folds in a plain loop.  Neither the shards nor their results are
+ever held as a list.
 
 Exit codes: 0 success, 1 verification failure found (a Grimm counterexample
 or a violated bound -- newsworthy, not an error), 2 usage/resource errors.
@@ -131,84 +135,89 @@ def _resolve_env(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sharded execution with optional per-shard checkpointing
+# the shard driver: one pass over a range, pooled and checkpointed
 # ---------------------------------------------------------------------------
 
 _worker_table: PrimeTable | None = None
 _worker_fn = None
 
 
-def _pool_entry(item):
-    idx, payload = item
-    return idx, _worker_fn(payload, _worker_table)
+def _pool_entry(bounds):
+    return _worker_fn(bounds, _worker_table)
 
 
-def _run_shards(shards, shard_fn, table, workers, checkpoint=None, meta=None):
-    """Run ``shard_fn(payload, table)`` over every shard, in shard order.
+def _shards(args, lo, hi, span, shard_fn, table, meta):
+    """Yield ``shard_fn((a, min(a + span, hi)), table)`` for each a in
+    ``range(lo, hi, span)``, in shard order.
 
-    Results are returned as a list indexed like ``shards``.  With a
-    checkpoint path, completed shards are loaded from the file and newly
-    computed ones appended (JSON lines, one per shard).
+    The shards left to compute run in a fork pool of ``args.worker_count``
+    processes when there are more than one, else in this process.  With
+    ``args.checkpoint``, the file's first line records
+    ``{"cmd", "span", "version"} | meta``, and every other line one shard's
+    result: the shards it holds are yielded from it, and each shard
+    computed is appended as it is yielded.  Nothing is held per shard but
+    the results loaded from the checkpoint.
     """
+    global _worker_table, _worker_fn
+    starts = range(lo, hi, span)
     done: dict[int, object] = {}
-    ck = None
-    if checkpoint:
-        lines = []
-        if os.path.exists(checkpoint):
-            with open(checkpoint, "rb+") as fh:
-                data = fh.read()
-                # a run killed mid-write leaves an unterminated last line
-                end = data.rfind(b"\n") + 1
-                fh.truncate(end)
+    path = getattr(args, "checkpoint", None)
+    ck = pool = None
+    if path:
+        try:
+            # one handle reads the shards done, cuts a torn last line and
+            # appends the shards computed now
+            ck = open(path, "a+b")
+        except OSError as e:
+            raise ValueError(f"--checkpoint {path}: {e.strerror}") from None
+    try:
+        if ck:
+            meta = {"cmd": args.subcommand, "span": span, "version": __version__} | meta
+            ck.seek(0)
+            data = ck.read()
+            # a run killed mid-write leaves an unterminated last line
+            end = data.rfind(b"\n") + 1
+            ck.truncate(end)
             lines = data[:end].decode().splitlines()
-        if lines:
-            header = json.loads(lines[0])
-            if header.get("meta") != meta:
+            if not lines:
+                ck.write(json.dumps({"meta": meta}).encode() + b"\n")
+                ck.flush()
+            elif (written := json.loads(lines[0]).get("meta")) != meta:
                 raise ValueError(
-                    f"checkpoint {checkpoint} was written for parameters "
-                    f"{header.get('meta')}, current run has {meta}"
+                    f"checkpoint {path} was written for parameters "
+                    f"{written}, current run has {meta}"
                 )
             for line in lines[1:]:
                 rec = json.loads(line)
                 done[rec["shard"]] = rec["result"]
-            ck = open(checkpoint, "a")
-        else:
-            ck = open(checkpoint, "w")
-            ck.write(json.dumps({"meta": meta}) + "\n")
-            ck.flush()
-
-    todo = [(i, s) for i, s in enumerate(shards) if i not in done]
-    try:
+        # read by the pool's task thread while the loop below runs, so
+        # ``done`` must not change from here on
+        todo = ((a, min(a + span, hi)) for i, a in enumerate(starts) if i not in done)
+        left = len(starts) - len(done)
         # a pool for a single shard only adds its start-up
-        if len(todo) > 1 and workers > 1 and hasattr(os, "fork"):
+        if left > 1 and args.worker_count > 1 and hasattr(os, "fork"):
             import multiprocessing as mp
 
-            global _worker_table, _worker_fn
-            _worker_table = table
-            _worker_fn = shard_fn
-            with mp.get_context("fork").Pool(min(workers, len(todo))) as pool:
-                for idx, res in pool.imap(_pool_entry, todo):
-                    done[idx] = res
-                    if ck:
-                        ck.write(json.dumps({"shard": idx, "result": res}) + "\n")
-                        ck.flush()
-            _worker_table = None
-            _worker_fn = None
+            _worker_table, _worker_fn = table, shard_fn
+            pool = mp.get_context("fork").Pool(min(args.worker_count, left))
+            results = pool.imap(_pool_entry, todo)
         else:
-            for idx, payload in todo:
-                res = shard_fn(payload, table)
-                done[idx] = res
-                if ck:
-                    ck.write(json.dumps({"shard": idx, "result": res}) + "\n")
-                    ck.flush()
+            results = (shard_fn(bounds, table) for bounds in todo)
+        for i in range(len(starts)):
+            if i in done:
+                yield done[i]
+                continue
+            res = next(results)
+            if ck:
+                ck.write(json.dumps({"shard": i, "result": res}).encode() + b"\n")
+                ck.flush()
+            yield res
     finally:
+        if pool:
+            pool.terminate()
+            _worker_table = _worker_fn = None
         if ck:
             ck.close()
-    return [done[i] for i in range(len(shards))]
-
-
-def _range_shards(limit: int) -> list[tuple[int, int]]:
-    return [(a, min(a + SHARD_SPAN, limit)) for a in range(2, limit, SHARD_SPAN)]
 
 
 def _verify_shard(bounds, table):
@@ -235,14 +244,9 @@ def _gap_shard(bounds, table):
     }
 
 
-def _psi_shard(payload, table):
-    x, y, a, b = payload
-    return psi_part(x, y, a, b, table)
-
-
-def _scan_shard(payload, table):
-    start, stop, eps, c0, stride = payload
-    return exceptional_scan(stop, eps, table, c0=c0, stride=stride, start=start)
+def _scan_shard(bounds, table, eps, c0, stride):
+    start, stop = bounds
+    return exceptional_scan(stop - 1, eps, table, c0=c0, stride=stride, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +278,12 @@ def _h_represent(args):
 
 def _h_verify_grimm(args):
     table = _get_table(isqrt(args.limit) + 1, args)
-    shards = _range_shards(args.limit)
-    meta = {
-        "cmd": "verify-grimm", "limit": args.limit, "span": SHARD_SPAN,
-        "version": __version__,
-    }
-    parts = _run_shards(
-        shards, _verify_shard, table, args.worker_count, args.checkpoint, meta
-    )
-    runs = sum(p["runs"] for p in parts)
-    failures = [row for p in parts for row in p["failures"]]
-    max_k, max_k_p = 0, 0
-    for p in parts:
+    runs = max_k = max_k_p = 0
+    failures = []
+    meta = {"limit": args.limit}
+    for p in _shards(args, 2, args.limit, SHARD_SPAN, _verify_shard, table, meta):
+        runs += p["runs"]
+        failures += p["failures"]
         if p["max_k"] > max_k:
             max_k, max_k_p = p["max_k"], p["max_k_p"]
     if args.emit_runs:
@@ -323,18 +321,12 @@ def _h_verify_grimm(args):
 
 
 def _h_gap_scan(args):
-    shards = _range_shards(args.limit)
-    meta = {
-        "cmd": "gap-scan", "limit": args.limit, "span": SHARD_SPAN,
-        "version": __version__,
-    }
-    parts = _run_shards(
-        shards, _gap_shard, None, args.worker_count, args.checkpoint, meta
-    )
-    pairs = sum(p["pairs"] for p in parts)
-    violations = [v for p in parts for v in p["violations"]]
-    max_gap, max_gap_p = 0, 0
-    for p in parts:
+    pairs = max_gap = max_gap_p = 0
+    violations = []
+    meta = {"limit": args.limit}
+    for p in _shards(args, 2, args.limit, SHARD_SPAN, _gap_shard, None, meta):
+        pairs += p["pairs"]
+        violations += p["violations"]
         if p["max_gap"] > max_gap:
             max_gap, max_gap_p = p["max_gap"], p["max_gap_p"]
     for v in violations:
@@ -373,32 +365,26 @@ def _h_dusart(args):
 
 
 def _h_psi(args):
-    bound = psi_table_limit(args.x, args.y)
-    meta = {"cmd": "psi", "x": args.x, "y": args.y, "version": __version__}
+    x, y = args.x, args.y
+    bound = psi_table_limit(x, y)
+    meta = {"x": x, "y": y}
     if bound is None:
         # the prime regime counts from pi tables, not from a prime table, so
         # --table-limit has no effect there.  It runs as one shard (0, x] in
         # this process, and its header records span x: a checkpoint of
         # smooth counts, or of the 2^21-value prime-regime shards of earlier
         # versions, for the same (x, y) holds other shares and must not resume.
-        if math.floor(args.y) < args.x and isqrt(args.x) > PI_TABLE_MAX_ROOT:
+        if math.floor(y) < x and isqrt(x) > PI_TABLE_MAX_ROOT:
             raise ValueError(
                 f"--x must be below {(PI_TABLE_MAX_ROOT + 1) ** 2} when "
-                f"isqrt(x) <= y < x, the pi table's bound; got {args.x}"
+                f"isqrt(x) <= y < x, the pi table's bound; got {x}"
             )
-        table, shards = None, [(args.x, args.y, 0, args.x)]
-        meta |= {"span": args.x, "regime": "primes"}
+        table, span = None, max(x, 1)  # x = 0 has no shard
+        meta["regime"] = "primes"
     else:
-        table = _get_table(bound, args)
-        shards = [
-            (args.x, args.y, a, min(a + SHARD_SPAN, args.x))
-            for a in range(0, args.x, SHARD_SPAN)
-        ]
-        meta["span"] = SHARD_SPAN
-    parts = _run_shards(
-        shards, _psi_shard, table, args.worker_count, args.checkpoint, meta
-    )
-    return [{"x": args.x, "y": args.y, "psi": sum(parts)}], 0
+        table, span = _get_table(bound, args), SHARD_SPAN
+    shares = _shards(args, 0, x, span, lambda ab, t: psi_part(x, y, *ab, t), table, meta)
+    return [{"x": x, "y": y, "psi": sum(shares)}], 0
 
 
 def _h_psi_window(args):
@@ -449,21 +435,23 @@ def _h_rho(args):
 def _h_exceptional_scan(args):
     c0 = scan_c0(args.eps, args.stride, args.c0)
     table = _get_table(int(args.x_max**args.eps) + 2, args)
-    # SHARD_SPAN sampled n per shard
+
+    def shard(bounds, table):
+        return _scan_shard(bounds, table, args.eps, c0, args.stride)
+
+    sampled = degenerate = evaluated = failures = 0
+    first: list[int] = []
+    # SHARD_SPAN sampled n per shard; the scan takes no --checkpoint
     span = args.stride * SHARD_SPAN
-    shards = [
-        (a, min(a + span - 1, args.x_max), args.eps, c0, args.stride)
-        for a in range(1, args.x_max + 1, span)
-    ]
-    parts = _run_shards(shards, _scan_shard, table, args.worker_count)
-    evaluated = sum(p.evaluated for p in parts)
-    failures = sum(p.failures for p in parts)
-    first = [n for p in parts for n in p.first_failures][:20]
+    for p in _shards(args, 1, args.x_max + 1, span, shard, table, {}):
+        sampled += p.sampled
+        degenerate += p.degenerate
+        evaluated += p.evaluated
+        failures += p.failures
+        first += p.first_failures[: 20 - len(first)]
     rep = ExceptionalScanReport(
         x_max=args.x_max, eps=args.eps, c0=float(c0), stride=args.stride,
-        sampled=sum(p.sampled for p in parts),
-        degenerate=sum(p.degenerate for p in parts),
-        evaluated=evaluated, failures=failures,
+        sampled=sampled, degenerate=degenerate, evaluated=evaluated, failures=failures,
         failure_fraction=failures / evaluated if evaluated else 0.0,
         first_failures=tuple(first),
     )
@@ -475,19 +463,9 @@ def _h_ram_sum(args):
     w = window_exponent_floor(args.x, args.alpha)
     table = _get_table(isqrt(args.x + w) + 1, args)
     res = ram_sum(args.x, args.alpha, table, delta_target=args.delta_target)
-    return (
-        [
-            {
-                "x": res.x,
-                "alpha": res.alpha,
-                "sum": res.sum,
-                "normalized": res.normalized,
-                "heuristic": res.heuristic,
-                "delta_target": res.delta_target,
-            }
-        ],
-        0,
-    )
+    row = asdict(res)
+    del row["window"]  # not a column of the printed row
+    return [row], 0
 
 
 def _h_rd(args):
@@ -733,7 +711,12 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
             path = f"grimmsmooth-{args.subcommand}.manifest.json"
             if manifest_dir:
                 path = os.path.join(manifest_dir, path)
-        with open(path, "w") as fh:
+        try:
+            fh = open(path, "w")
+        except OSError as e:
+            print(f"error: --manifest {path}: {e.strerror}", file=sys.stderr)
+            return 2
+        with fh:
             json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
             fh.write("\n")
     return flag

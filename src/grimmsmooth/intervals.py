@@ -4,7 +4,8 @@ For a window lo, ..., hi the rows of :func:`prime_rows` (the distinct
 primes of each element) are the adjacency structure of the bipartite graph
 "element <-> primes dividing it" that the matching decision consumes;
 :func:`lpf_range` gives each element's largest prime factor alone, and
-:func:`window_residuals` the cofactors the smoothness counts read.
+:func:`_bound_smooth` flags the elements whose prime factors all lie at or
+below a bound, the test every smooth count reads.
 
 The method is one prime-power sieve (:func:`_sieve`) that splits the
 sieving primes by how often they hit the block of ``count`` values.  A dense
@@ -28,13 +29,14 @@ That is how verify finds the elements that can share a largest prime factor
 in a run (it sieves each 2^21-value block with the primes below the block's
 longest run only, and :func:`smooth_lpf` walks the block in pieces of
 ``_PIECE`` values, each sieved on its own so that the sieve's arrays stay in
-cache), and how psi counts the y-smooth values of a block when y < sqrt(x).
-When the bound reaches sqrt(hi), a residual r > 1 is necessarily prime (it
-has no factor <= sqrt(hi) left) and is the element's largest prime factor.
+cache), how psi counts the y-smooth values of a block when y < sqrt(x), and
+how the short windows of ``smooth.psi_window`` and the exceptional scan are
+counted, whatever their size: a bound above sqrt(hi) only sends more primes
+to the hit list.  For :func:`prime_rows` and :func:`lpf_range` the bound is
+sqrt(hi), and a residual r > 1 is then necessarily prime (it has no factor
+<= sqrt(hi) left) and is the element's largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
-primes per element is kept.  Windows of at most ``_SMALL_WINDOW`` elements
-take a plain Python loop for their residuals instead, which beats the numpy
-calls there.
+primes per element is kept.
 """
 
 from __future__ import annotations
@@ -226,45 +228,3 @@ def smooth_count(lo: int, hi: int, bound: int, table: PrimeTable) -> int:
     """
     return int(np.count_nonzero(_bound_smooth(lo, hi, bound, table, False)[0]))
 
-
-# ---------------------------------------------------------------------------
-# residual-only window sieving, for smooth counting
-# ---------------------------------------------------------------------------
-
-# Below this window size plain Python loops beat numpy call overhead.
-_SMALL_WINDOW = 256
-
-
-def window_residuals(lo: int, hi: int, prime_bound: int, table: PrimeTable):
-    """Residual of each value in lo..hi after dividing out, to full
-    multiplicity, every prime <= min(prime_bound, sqrt(hi)).
-
-    Below sqrt(hi) the bound is the smoothness threshold itself: residual 1
-    marks exactly the prime_bound-smooth elements, and any other residual
-    exceeds prime_bound.  At or above sqrt(hi) the residual is 1 or the
-    element's one prime factor above sqrt(hi).  Either way, an element is
-    y-smooth for y = prime_bound iff its residual is <= y.
-    """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    bound = min(prime_bound, isqrt(hi))
-    if table.limit < bound:
-        raise TableLimitError(
-            f"window sieve needs primes to {bound}, table limit is {table.limit}",
-            required=bound,
-        )
-    ps = table.primes_to(bound)
-
-    if hi - lo + 1 <= _SMALL_WINDOW:
-        res = list(range(lo, hi + 1))
-        for p in ps.tolist():
-            start = ((lo + p - 1) // p) * p
-            for m in range(start, hi + 1, p):
-                i = m - lo
-                v = res[i]
-                while v % p == 0:
-                    v //= p
-                res[i] = v
-        return np.asarray(res, dtype=np.int64)
-
-    return _residuals(lo, hi, ps)

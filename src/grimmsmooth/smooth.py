@@ -3,17 +3,11 @@ for g.
 
 Psi(x, y) counts the positive integers <= x all of whose prime factors are
 <= y (1 counts: the condition is vacuous).  Window counts
-Psi(x+z, y) - Psi(x, y) are computed directly on the window by residual
-sieving: divide every element by all primes up to min(y, sqrt(x+z)) to full
-multiplicity and look at what is left.
-
-* if y < sqrt(x+z), a residual > 1 has all its prime factors > y, so the
-  element is smooth iff the residual is 1;
-* if y >= sqrt(x+z), the residual is 1 or a single prime, so the element is
-  smooth iff the residual is <= y.
-
-Both regimes collapse to the single test ``residual <= y``, taken as
-``residual <= max(y, 1)`` so that the unit counts for y < 1 as well.
+Psi(x+z, y) - Psi(x, y) are computed directly on the window by one prime-power
+sieve with every prime up to min(floor(y), x+z): an element is y-smooth
+exactly when the product of the prime powers it picked up equals it
+(``intervals._bound_smooth``), on either side of sqrt(x+z), and the unit
+is smooth for every y, y < 1 included, where no prime sieves at all.
 (:func:`psi_window` needs a table to y, so its y stays below 2^31.)
 
 :func:`psi` splits the same two regimes at ``floor(y) >= isqrt(x)``, taken
@@ -69,7 +63,7 @@ from math import isqrt
 import numpy as np
 
 from .dickman import build_rho_table, rho
-from .intervals import smooth_count, window_residuals
+from .intervals import _bound_smooth, smooth_count
 from .primes import PrimeTable, TableLimitError, pi_table, prime_pi
 
 # Largest x for psi: the sieve arrays hold the values themselves as int64.
@@ -208,11 +202,10 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
         )
     count = 0
     head = tail = None
-    bound = min(int(y), isqrt(x + z))
+    bound = min(math.floor(y), x + z)
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
-        res = window_residuals(lo, hi, bound, table)
-        smooth = np.flatnonzero(res <= max(y, 1))
+        smooth = np.flatnonzero(_bound_smooth(lo, hi, bound, table, False)[0])
         if len(smooth):
             count += len(smooth)
             if head is None:
@@ -315,11 +308,10 @@ def _window_counts(
 ) -> np.ndarray:
     """Number of z-smooth values in each window (n, n + z], for ascending n.
 
-    Since z <= n^eps with eps < 1/2, z <= isqrt(n + z): the residual sieve
-    divides out every prime <= z, so an element is z-smooth iff its residual
-    is 1 (any other residual exceeds z, and with it n^eps).  Consecutive n
+    Each stretch is sieved with the primes <= z, and an element is z-smooth
+    when the product of its prime powers up to z equals it.  Consecutive n
     sharing a z form a run; when stride <= z the run's windows overlap or
-    abut, so one :func:`window_residuals` call covers up to ``_BLOCK``
+    abut, so one ``_bound_smooth`` call covers up to ``_BLOCK``
     values of it and every window is a difference of one prefix sum.  When
     stride > z the windows are disjoint and each is sieved alone, so the
     gaps between them are never touched.
@@ -333,7 +325,7 @@ def _window_counts(
             j = i + 1
             if stride <= w:  # overlapping or abutting windows share one sieve
                 j = max(j, a + int(np.searchsorted(ns[a:b], n + _BLOCK - w, "right")))
-            smooth = window_residuals(n + 1, int(ns[j - 1]) + w, w, table) == 1
+            smooth = _bound_smooth(n + 1, int(ns[j - 1]) + w, w, table, False)[0]
             if j == i + 1:  # a lone window: a prefix sum costs more than it saves
                 counts[i] = np.count_nonzero(smooth)
             else:

@@ -253,11 +253,20 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["rd", "--x", "0", "--alpha", "0.4"] + rd, "--x"),
         (["rd", "--x", "100", "--alpha", "nan"] + rd, "--alpha"),
         (["rd", "--x", "100", "--alpha", "inf"] + rd, "--alpha"),
+        # a checkpoint path that cannot be opened
+        (["verify-grimm", "--limit", "100", "--checkpoint", str(tmp_path)], "--checkpoint"),
+        (["gap-scan", "--limit", "100", "--checkpoint", str(tmp_path / "no" / "c")],
+         "--checkpoint"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
         assert (code, out) == (2, ""), argv
         assert needle in capsys.readouterr().err, argv
+    # a manifest path that cannot be opened: the result is printed first
+    for path in (tmp_path, tmp_path / "no" / "m.json"):
+        code, out = invoke(["verify-grimm", "--limit", "100"], tmp_path, manifest=path)
+        assert (code, out) == (2, "limit,runs,failures,max_k,max_k_p\n100,23,0,7,89\n")
+        assert f"--manifest {path}" in capsys.readouterr().err
 
 
 def test_table_limit_too_small_is_resource_error(tmp_path):
@@ -655,3 +664,41 @@ def test_psi_checkpoint_of_prime_regime_shards_is_refused(tmp_path, capsys):
     ck.unlink()
     assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
     assert json.loads(ck.read_text().splitlines()[0]) == {"meta": meta | {"span": x}}
+
+
+def test_resume_interleaves_loaded_and_pooled_shards(tmp_path, monkeypatch):
+    # 40 to 157 shards of 128 values: the first comes from the checkpoint,
+    # the rest from a pool of two, and the file grows line by line as if
+    # the run had never stopped
+    import grimmsmooth.cli as cli
+
+    monkeypatch.setattr(cli, "SHARD_SPAN", 128)
+    for argv in (
+        ["verify-grimm", "--limit", "20000"],
+        ["gap-scan", "--limit", "20000"],
+        ["psi", "--x", "5000", "--y", "30"],
+    ):
+        ck = tmp_path / "run.ckpt"
+        argv = argv + ["--workers", "2", "--checkpoint", str(ck)]
+        full = invoke(argv, tmp_path)
+        text = ck.read_text()
+        assert full[0] == 0 and len(text.splitlines()) > 3, argv
+        ck.write_text("".join(text.splitlines(keepends=True)[:2]))
+        assert invoke(argv, tmp_path) == full, argv
+        assert ck.read_text() == text, argv
+        ck.unlink()
+
+
+def test_shard_driver_streams(monkeypatch):
+    # 2^40 shards: the first result comes back without any list of shards
+    # or results being built, in this process and through a pool
+    import argparse
+
+    import grimmsmooth.cli as cli
+
+    for workers in (1, 2):
+        args = argparse.Namespace(subcommand="test", worker_count=workers)
+        shards = cli._shards(args, 5, 5 + 3 * 2**40, 3, lambda ab, t: (ab, t), "t", {})
+        assert next(shards) == ((5, 8), "t")
+        assert next(shards) == ((8, 11), "t")
+        shards.close()

@@ -1,5 +1,5 @@
 from functools import cache
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grimmsmooth import TableLimitError, build_table, has_representation
 from grimmsmooth import intervals
-from grimmsmooth.intervals import lpf_range, prime_rows, smooth_lpf, window_residuals
+from grimmsmooth.intervals import _bound_smooth, lpf_range, prime_rows, smooth_lpf
 from oracles import (
     distinct_primes,
     largest_prime_factor,
@@ -124,25 +124,27 @@ def test_validation_errors(table_1e4):
     assert err.value.required == 20_000
 
 
-def test_window_residuals_paths_agree(table_1e4):
-    # the small-window python path and the numpy block path must coincide
+def smooth_flags(lo, hi, bound, table):
+    return _bound_smooth(lo, hi, bound, table, False)[0].tolist()
+
+
+def test_bound_smooth_pieces_agree(table_1e4):
+    # a block and its 100-value pieces flag the same values
     lo, hi = 10_000, 10_000 + 2000
-    big = window_residuals(lo, hi, 100, table_1e4)
-    parts = [
-        window_residuals(a, min(a + 99, hi), 100, table_1e4)
-        for a in range(lo, hi + 1, 100)
-    ]
-    assert np.concatenate(parts).tolist() == big.tolist()
+    parts = [smooth_flags(a, min(a + 99, hi), 100, table_1e4) for a in range(lo, hi + 1, 100)]
+    assert sum(parts, []) == smooth_flags(lo, hi, 100, table_1e4)
 
 
-def test_window_residuals_semantics(table_1e4):
-    # residual 1 iff smooth w.r.t. the sieved bound (bound < sqrt regime)
-    lo, hi, y = 5000, 5300, 13
-    res = window_residuals(lo, hi, y, table_1e4)
-    for v, r in zip(range(lo, hi + 1), res.tolist()):
-        assert (r == 1) == (largest_prime_factor(v) <= y)
-    # the unit: residual of 1 is 1
-    assert window_residuals(1, 1, 10, table_1e4).tolist() == [1]
+def test_bound_smooth_semantics(table_1e4):
+    # flagged iff every prime factor is at or below the bound, on either
+    # side of sqrt(hi)
+    lo, hi = 5000, 5300
+    for y in (13, 100, 5300):
+        flags = smooth_flags(lo, hi, y, table_1e4)
+        assert flags == [largest_prime_factor(v) <= y for v in range(lo, hi + 1)], y
+    # the unit is smooth over every bound, even over no primes at all
+    assert smooth_flags(1, 3, 0, table_1e4) == [True, False, False]
+    assert smooth_flags(1, 3, 10, table_1e4) == [True, True, True]
 
 
 def smooth_by_trial_division(lo, hi, bound):
@@ -190,9 +192,8 @@ def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
         lpf = lpf_range(lo, hi, table_1e4).tolist()
         assert lpf == [max(f, default=1) for f in facs], (lo, hi)
         for bound in (7, 60, 10**4):
-            cut = min(bound, isqrt(hi))
-            res = [prod(p**e for p, e in f.items() if p > cut) for f in facs]
-            assert window_residuals(lo, hi, bound, table_1e4).tolist() == res
+            flags = [max(f, default=0) <= bound for f in facs]
+            assert smooth_flags(lo, hi, bound, table_1e4) == flags, (lo, hi, bound)
         for bound in (0, 2, 7, 60, 150):
             check_smooth_lpf(lo, hi, bound, table_1e4)
 
@@ -215,13 +216,11 @@ def test_factor_range_matches_trial_division_property(table_1e4, window):
 @given(windows(), st.integers(0, 1100))
 @example((2**20 - 300, 2**20), 1024)
 @example((3**12 - 300, 3**12), 3)
-def test_window_residuals_match_trial_division_property(table_1e4, window, bound):
+def test_bound_smooth_matches_trial_division_property(table_1e4, window, bound):
     lo, hi = window
-    cut = min(bound, isqrt(hi))
-    res = window_residuals(lo, hi, bound, table_1e4).tolist()
-    for v, r in zip(range(lo, hi + 1), res):
-        fac = trial_factorization(v)
-        assert r == prod(p**e for p, e in fac.items() if p > cut), (v, bound)
+    flags = smooth_flags(lo, hi, bound, table_1e4)
+    for v, flag in zip(range(lo, hi + 1), flags):
+        assert flag == (max(trial_factorization(v), default=0) <= bound), (v, bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,5 +293,4 @@ def test_lpf_and_residuals_at_2_31(lo, hi):
     table = build_table(isqrt(hi) + 1)
     facs = [trial_factorization(v) for v in range(lo, hi + 1)]
     assert lpf_range(lo, hi, table).tolist() == [max(f) for f in facs]
-    res = [prod(p**e for p, e in f.items() if p > 50) for f in facs]
-    assert window_residuals(lo, hi, 50, table).tolist() == res
+    assert smooth_flags(lo, hi, 50, table) == [max(f) <= 50 for f in facs]

@@ -253,6 +253,18 @@ def test_both_sieving_regimes(table_1e4):
         assert rep.count == smooth_count_direct(x + 1, x + z, y), y
 
 
+@pytest.mark.parametrize("x,z", [(0, 40), (1000, 300), (20_000, 3_000)])
+def test_psi_window_matches_oracle_across_y(table_1e5, x, z):
+    # y below 1 (the unit alone), from sqrt(x+z) to x+z, and past x+z, where
+    # the window sieves with every prime to x+z and no further
+    top = x + z
+    for y in (0.5, isqrt(top), isqrt(top) + 0.5, top / 3, top, top + 7.5):
+        want = [v for v in range(x + 1, top + 1) if v == 1 or _lpf(v) <= y]
+        rep = psi_window(x, z, y, table_1e5)
+        got = (rep.count, rep.smooth_head, rep.smooth_tail)
+        assert got == (len(want), min(want, default=None), max(want, default=None)), y
+
+
 def test_grimm_upper_bound_soundness_small(table_1e5):
     # wherever the criterion fires at x <= 1e4, the exact g obeys the bound
     rng = np.random.default_rng(5)
