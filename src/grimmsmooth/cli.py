@@ -41,7 +41,7 @@ from .primes import (
 )
 from .smooth import (
     PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound,
-    psi_part, psi_table_limit, psi_window, scan_c0,
+    psi_part, psi_table_limit, psi_window, scan_c0, window_table_limit,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -387,15 +387,24 @@ def _h_psi(args):
     return [{"x": x, "y": y, "psi": sum(shares)}], 0
 
 
+def _window_table(args) -> PrimeTable:
+    """The table of psi-window and grimm-bound, once --y is known to be in
+    reach of the pi table that counts pi(y)."""
+    if isqrt(math.floor(args.y)) > PI_TABLE_MAX_ROOT:
+        raise ValueError(
+            f"--y must be below {(PI_TABLE_MAX_ROOT + 1) ** 2}, the pi table's "
+            f"bound; got {args.y}"
+        )
+    return _get_table(window_table_limit(args.x, args.z, args.y), args)
+
+
 def _h_psi_window(args):
-    table = _get_table(max(isqrt(args.x + args.z), int(args.y)), args)
-    rep = psi_window(args.x, args.z, args.y, table)
+    rep = psi_window(args.x, args.z, args.y, _window_table(args))
     return [asdict(rep)], 0
 
 
 def _h_grimm_bound(args):
-    table = _get_table(max(isqrt(args.x + args.z), int(args.y)), args)
-    b = grimm_upper_bound(args.x, args.y, args.z, table)
+    b = grimm_upper_bound(args.x, args.y, args.z, _window_table(args))
     row = {
         "x": args.x,
         "y": args.y,

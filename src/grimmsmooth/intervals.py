@@ -45,18 +45,7 @@ from math import isqrt
 
 import numpy as np
 
-from .primes import PrimeTable, TableLimitError
-
-
-def _sieving_primes(table: PrimeTable, hi: int) -> np.ndarray:
-    root = isqrt(hi)
-    if table.limit < root:
-        raise TableLimitError(
-            f"factoring up to {hi} needs primes to {root}, "
-            f"table limit is {table.limit}",
-            required=root,
-        )
-    return table.primes_to(root)
+from .primes import PrimeTable
 
 
 # A prime p > count // _DENSE_HITS hits a block of count values at most
@@ -154,7 +143,7 @@ def prime_rows(lo: int, hi: int, table: PrimeTable) -> list[list[int]]:
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    primes = _sieving_primes(table, hi)
+    primes = table.primes_to(isqrt(hi))
     rows: list[list[int]] = [[] for _ in range(hi - lo + 1)]
     for i, p in zip(*(a.tolist() for a in _hits(lo, len(rows), primes))):
         rows[i].append(p)
@@ -169,7 +158,7 @@ def lpf_range(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
     """Largest prime factor of each value lo..hi (1 for the unit)."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    smooth, lpf = _sieve(lo, hi, _sieving_primes(table, hi), with_lpf=True)
+    smooth, lpf = _sieve(lo, hi, table.primes_to(isqrt(hi)), with_lpf=True)
     residual = np.arange(lo, hi + 1, dtype=np.int64) // smooth
     lpf = lpf.astype(np.int64, copy=False)
     # a residual above 1 is the one prime factor above sqrt(hi)

@@ -1,4 +1,4 @@
-"""Exact prime infrastructure: one segmented sieve, and a bit-packed table for pi.
+"""Exact prime infrastructure: one segmented sieve, and a table of its primes.
 
 :func:`segments` is the package's one primality sieve: an odd-only
 Eratosthenes sieve that walks [lo, hi] in chunks of ``_CHUNK_ODDS`` odd
@@ -16,15 +16,10 @@ need no table:
   ``pi(x) < (x/log x)(1 + 1.2762/log x)`` for integer ``x > 1`` and
   ``theta(x) <= 1.00008 x`` for real ``x > 0``, theta as a running sum.
 
-:class:`PrimeTable` packs the flags of the same chunk loop, run over
-[2, limit], for the exact ``is_prime`` and ``pi`` lookups up to ``limit``.
-Odd numbers 1, 3, 5, ... map to bit indices 0, 1, 2, ... (number ``2*i + 1``
-<-> bit ``i``), packed little-endian into a ``uint8`` array, with the
-cumulative prime count stored at every boundary of ``_SEGMENT_ODDS`` odd
-numbers.  A ``pi`` query costs one checkpoint lookup plus a popcount over
-at most one segment of bits.  :meth:`PrimeTable.primes_to` hands the window
-sieves their sieving primes as one int64 array, read off those bits, cached
-and grown on demand.
+:class:`PrimeTable` holds the primes of the same chunk loop, run over
+[2, limit], as one read-only int64 array, filled once in its constructor.
+:meth:`PrimeTable.primes_to` hands the window sieves their sieving primes
+as a view of it, and :meth:`PrimeTable.pi` is a binary search in it.
 
 :func:`pi_table` counts primes without listing them: Lucy's form of the
 Legendre/Meissel recursion gives pi at every value x // k from the primes
@@ -41,8 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-# Largest supported table; the constraint is build time, not the packed
-# storage (2**31 packs into 128 MiB).
+# Largest supported table: 105,097,565 int64 primes, about 802 MiB.
 MAX_LIMIT = 2**31
 
 # Largest isqrt(x) for a pi table, so x < 2^48.  A table costs about 48
@@ -51,11 +45,7 @@ MAX_LIMIT = 2**31
 # on 2 vCPUs, which puts the bound near 800 MiB and 3 minutes.
 PI_TABLE_MAX_ROOT = 1 << 24
 
-# Odd numbers per pi checkpoint: a segment of 2^20 integers.
-_SEGMENT_ODDS = 1 << 19
-
-# Odd numbers sieved per numpy pass; a multiple of _SEGMENT_ODDS, so that a
-# table's chunks split into whole segments.  Its 1 MiB of flags stays in a
+# Odd numbers sieved per numpy pass.  Its 1 MiB of flags stays in a
 # core's L2 cache while every base prime strides over it: walking [2, 1e9]
 # took 2.9 s in chunks of 2^20 odd numbers and 9.5 s in chunks of 2^24.
 _CHUNK_ODDS = 1 << 20
@@ -181,12 +171,12 @@ def bounding_primes(lo: int, hi: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Immutable primality/counting store for all integers up to ``limit``.
+    """The primes up to ``limit``, as one read-only ascending int64 array of
+    8 bytes per prime.
 
-    Safe for concurrent reads once constructed; construction itself has no
-    observable intermediate state (the constructor either returns a complete
-    table or raises).  The lazy cache of sieving primes is idempotent, so
-    racing readers at worst duplicate work.
+    The array is filled once, in the constructor, from :func:`segments`: a
+    table is complete when the constructor returns and never changes after,
+    so concurrent readers need no lock.
     """
 
     def __init__(self, limit: int):
@@ -196,29 +186,15 @@ class PrimeTable:
                 f"table limit must be in [2, {MAX_LIMIT}], got {limit}"
             )
         self.limit = limit
-        self._build()
-        self._primes = np.empty(0, dtype=np.int64)  # the primes <= _primes_bound
-        self._primes_bound = 1
-
-    def _build(self) -> None:
-        n_odds = (self.limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
-        bits = np.empty((n_odds + 7) // 8, dtype=np.uint8)
-        seg_counts = np.empty(-(-n_odds // _SEGMENT_ODDS), dtype=np.int64)
-        seg_bytes = _SEGMENT_ODDS // 8
-        for o, flags in _odd_flags(0, n_odds):
-            packed = np.packbits(flags, bitorder="little")  # zero-padded
-            bits[o // 8 : o // 8 + len(packed)] = packed
-            sums = np.add.reduceat(
-                np.bitwise_count(packed),
-                np.arange(0, len(packed), seg_bytes),
-                dtype=np.int64,
-            )
-            s = o // _SEGMENT_ODDS
-            seg_counts[s : s + len(sums)] = sums
-        # checkpoint_counts[s] = pi(end of segment s); the final entry is
-        # pi(limit).  The +1 is the prime 2, which lives outside the odd bits.
-        self._bits = bits
-        self.checkpoint_counts = 1 + np.cumsum(seg_counts)
+        # sized by Dusart's bound on pi(limit) and filled a chunk at a
+        # time: joining the chunks would hold every prime twice
+        primes = np.empty(int(_pi_bound(np.float64(limit))) + 1, dtype=np.int64)
+        n = 0
+        for chunk in segments(2, limit):
+            primes[n : n + len(chunk)] = chunk
+            n += len(chunk)
+        self._primes = primes[:n]
+        self._primes.flags.writeable = False  # callers get views of it
 
     def _check_range(self, x: float, what: str = "argument") -> None:
         if x < 0 or x > self.limit:
@@ -227,65 +203,15 @@ class PrimeTable:
                 required=int(math.ceil(x)),
             )
 
-    def is_prime(self, x: int) -> bool:
-        x = int(x)
-        self._check_range(x)
-        if x < 2:
-            return False
-        if x == 2:
-            return True
-        if x % 2 == 0:
-            return False
-        i = (x - 1) // 2
-        return bool((self._bits[i >> 3] >> (i & 7)) & 1)
-
     def pi(self, x: float) -> int:
         """Number of primes <= x (real x allowed; counts primes <= floor(x))."""
         self._check_range(x)
-        xi = math.floor(x)
-        if xi < 2:
-            return 0
-        if xi == 2:
-            return 1
-        i = (xi - 1) // 2  # index of the largest odd number <= xi
-        s = i // _SEGMENT_ODDS
-        base = int(self.checkpoint_counts[s - 1]) if s > 0 else 1
-        b0 = (s * _SEGMENT_ODDS) >> 3
-        b1 = i >> 3
-        count = int(np.bitwise_count(self._bits[b0:b1]).sum(dtype=np.int64))
-        mask = (1 << ((i & 7) + 1)) - 1
-        count += int(self._bits[b1] & mask).bit_count()
-        return base + count
+        return int(np.searchsorted(self._primes, math.floor(x), side="right"))
 
     def primes_to(self, bound: float) -> np.ndarray:
-        """Primes <= bound, ascending, as an int64 array.
-
-        The array is a view of one cached array that is grown on demand, so
-        the window sieves that ask for the same small prefix over and over
-        neither re-sieve nor copy it.
-        """
+        """Primes <= bound, ascending, as a read-only view of the table's array."""
         self._check_range(max(bound, 0), "prime list bound")
-        if self._primes_bound < bound:
-            # grow generously to amortize repeated slightly-larger requests
-            grow = min(self.limit, max(2 * int(bound), 1 << 16))
-            # read off the table's bits a chunk at a time and filled in
-            # place: joining the chunks would hold every prime twice
-            primes = np.empty(self.pi(grow), dtype=np.int64)
-            primes[0] = 2
-            n, n_odds, step = 1, (grow + 1) // 2, _CHUNK_ODDS // 8
-            for b in range(0, (n_odds + 7) // 8, step):
-                flags = np.unpackbits(
-                    self._bits[b : b + step], count=min(8 * step, n_odds - 8 * b),
-                    bitorder="little",
-                )
-                odd = np.flatnonzero(flags)  # bit 8b + i <-> the number 16b + 2i + 1
-                part = primes[n : n + len(odd)]
-                np.multiply(odd, 2, out=part)
-                part += 16 * b + 1
-                n += len(odd)
-            primes.flags.writeable = False  # callers get views of the cache
-            self._primes, self._primes_bound = primes, grow
-        return self._primes[: np.searchsorted(self._primes, bound, side="right")]
+        return self._primes[: np.searchsorted(self._primes, math.floor(bound), "right")]
 
 
 def build_table(limit: int) -> PrimeTable:

@@ -8,7 +8,9 @@ sieve with every prime up to min(floor(y), x+z): an element is y-smooth
 exactly when the product of the prime powers it picked up equals it
 (``intervals._bound_smooth``), on either side of sqrt(x+z), and the unit
 is smooth for every y, y < 1 included, where no prime sieves at all.
-(:func:`psi_window` needs a table to y, so its y stays below 2^31.)
+(:func:`psi_window` needs a table to min(floor(y), x+z) only and counts
+pi(y) from :func:`primes.prime_pi`, so its y is bounded by the pi
+table's isqrt(y) <= 2^24, not by the 2^31 table limit.)
 
 :func:`psi` splits the same two regimes at ``floor(y) >= isqrt(x)``, taken
 between Python ints:
@@ -186,20 +188,31 @@ def psi(x: int, y: float, table: PrimeTable | None) -> int:
     return psi_part(x, y, 0, x, table)
 
 
+def window_table_limit(x: int, z: int, y: float) -> int:
+    """The prime table :func:`psi_window` needs for (x, x+z] and y: the
+    window sieves with the primes up to min(floor(y), x+z) only."""
+    return max(2, min(math.floor(y), x + z))
+
+
 def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowReport:
-    """Exact count of y-smooth integers in (x, x+z], with certificate ends."""
+    """Exact count of y-smooth integers in (x, x+z], with certificate ends.
+
+    pi(y) comes from :func:`primes.prime_pi`, so isqrt(floor(y)) must not
+    exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.
+    """
     x, z = int(x), int(z)
     if x < 0 or z < 1:
         raise ValueError(f"need x >= 0 and z >= 1, got x={x}, z={z}")
     if y <= 0:
         raise ValueError(f"y must be positive, got {y}")
-    required = max(isqrt(x + z), int(y))
+    required = window_table_limit(x, z, y)
     if table.limit < required:
         raise TableLimitError(
             f"psi_window(x={x}, z={z}, y={y}) needs table limit >= {required}, "
             f"have {table.limit}",
             required=required,
         )
+    pi_y = prime_pi(math.floor(y))
     count = 0
     head = tail = None
     bound = min(math.floor(y), x + z)
@@ -211,7 +224,6 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
             if head is None:
                 head = lo + int(smooth[0])
             tail = lo + int(smooth[-1])
-    pi_y = table.pi(y)
     return SmoothWindowReport(
         x=x, z=z, y=float(y), count=count, pi_y=pi_y,
         bound_established=count > pi_y, smooth_head=head, smooth_tail=tail,

@@ -245,6 +245,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["psi-window", "--x", "10", "--z", "5", "--y", "0"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-1", "--z", "5"], "--y"),
         (["grimm-bound", "--x", "100", "--y", "0", "--z", "5"], "--y"),
+        # pi(y) is counted from a pi table, which needs isqrt(y) <= 2^24
+        (["psi-window", "--x", "10", "--z", "5", "--y", str(2**48 + 2**25 + 1)], "--y"),
+        (["grimm-bound", "--x", "10", "--y", "1e15", "--z", "5"], "--y"),
         (["ram-sum", "--x", "-5", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "0", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "100", "--alpha", "nan"], "--alpha"),
@@ -274,6 +277,25 @@ def test_table_limit_too_small_is_resource_error(tmp_path):
         ["verify-grimm", "--limit", "10000", "--table-limit", "100"], tmp_path
     )
     assert code == 2
+
+
+def test_window_table_reaches_the_sieving_bound_only(tmp_path, monkeypatch):
+    # the window near 1e12 sieves with the primes to y = 600 alone
+    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
+    mpath = tmp_path / "gb.manifest.json"
+    for argv in (
+        ["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600"],
+        ["psi-window", "--x", "1000000000000", "--z", "600", "--y", "600"],
+    ):
+        base = invoke(argv, tmp_path, manifest=mpath)
+        assert base[0] == 0
+        assert json.loads(mpath.read_text())["table_limit"] == 600
+        assert invoke(argv + ["--table-limit", "600"], tmp_path) == base
+        assert invoke(argv + ["--table-limit", "599"], tmp_path)[0] == 2
+    # and with y past x + z, with the primes to x + z = 150
+    argv = ["psi-window", "--x", "100", "--z", "50", "--y", "1000000"]
+    assert invoke(argv, tmp_path, manifest=mpath)[0] == 0
+    assert json.loads(mpath.read_text())["table_limit"] == 150
 
 
 def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):

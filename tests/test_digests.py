@@ -41,6 +41,22 @@ DIGESTS = [
      "c8981735bd6577a982b8836dff95067ed7708f50c885df66fa8862275d7bdebe"),
     (["exceptional-scan", "--x-max", "400000", "--eps", "0.3", "--stride", "4"],
      "f97e6cb507d47378cbbadf38c67d21ac0dd41066dbebcd0bdc4c2d0e4d3a58af"),
+    # a window sieved with the primes to y = 600 near 1e12: one smooth value
+    # (1000000000212), against pi(600) = 109
+    (["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600", "--workers", "1"],
+     "2b1163c0b87605bf3f39d642450003572c0839ce066faa99bdc3c36b77b19f13"),
+    (["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600", "--workers", "2"],
+     "2b1163c0b87605bf3f39d642450003572c0839ce066faa99bdc3c36b77b19f13"),
+    (["psi-window", "--x", "1000000000000", "--z", "600", "--y", "600"],
+     "81546a357e481423635f3c7c310d2390a05feda074abf85dac972e27a1597696"),
+    # y > x + z: every value of the window is smooth, and pi_y = pi(1e6)
+    (["psi-window", "--x", "100", "--z", "50", "--y", "1000000", "--workers", "1"],
+     "d7f6ab082aec8199bfcfd58813128dd443ad7928a7ef2380be167d7a514d9dee"),
+    (["psi-window", "--x", "100", "--z", "50", "--y", "1000000", "--workers", "2"],
+     "d7f6ab082aec8199bfcfd58813128dd443ad7928a7ef2380be167d7a514d9dee"),
+    # y < 1: the unit alone is smooth
+    (["psi-window", "--x", "0", "--z", "5", "--y", "0.5"],
+     "7a4408e2985019a8e8149d6599ee3386b392e92ca019a66386c385f46849b75d"),
 ]
 
 

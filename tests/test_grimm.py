@@ -24,6 +24,7 @@ from oracles import (
     distinct_primes,
     g1_prefix_union,
     g_exhaustive,
+    is_prime,
     largest_prime_factor,
     sdr_exists,
     trial_primes,
@@ -196,7 +197,7 @@ def test_verify_grimm_small(table_1e4):
         check_result(r.p, r.k, r.result, table_1e4)
         # every run sits between consecutive primes: all elements composite
         for i in range(1, r.k + 1):
-            assert not table_1e4.is_prime(r.p + i)
+            assert not is_prime(r.p + i)
 
 
 def test_stream_results_match_direct_calls(table_1e4):
@@ -363,9 +364,7 @@ def test_verify_runs_cover_every_composite(table_1e4):
     for r in reports:
         covered.update(range(r.p + 1, r.p + r.k + 1))
     gaps1 = {p for p, q in ((r.p, r.k) for r in reports)}  # noqa: F841
-    composites = {
-        x for x in range(3, 998) if not table_1e4.is_prime(x)
-    }
+    composites = {x for x in range(3, 998) if not is_prime(x)}
     assert covered == composites
 
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_build_rejects_bad_limits():
 def test_tiny_tables():
     t = build_table(2)
     assert t.pi(2) == 1
-    assert t.is_prime(2)
+    assert t.primes_to(2).tolist() == [2]
     t = build_table(10)
     assert t.pi(2) == 1
     assert t.pi(10) == 4
@@ -92,30 +93,32 @@ def test_pi_inverts_primes_to(table_1e5):
     assert [table_1e5.pi(p) for p in ps] == list(range(1, len(ps) + 1))
 
 
+def test_every_small_table_lists_its_primes():
+    # Dusart's bound, which sizes the array before it is trimmed to the
+    # primes found, is loosest at small limits
+    for limit in range(2, 2001):
+        want = TRIAL_1E4[: bisect.bisect_right(TRIAL_1E4, limit)]
+        assert build_table(limit).primes_to(limit).tolist() == want, limit
+
+
 def test_primes_to_examples(table_1e4):
     ps = table_1e4.primes_to(10_000)
     assert (ps[0], ps[3], ps[24]) == (2, 7, 97)
     assert ps.dtype == np.int64 and ps.tolist() == TRIAL_1E4
-    assert not ps.flags.writeable  # a view of the table's cache
+    assert not ps.flags.writeable  # a view of the table's array
+    # every call is a view of the one array: nothing is copied
+    assert np.shares_memory(ps, table_1e4.primes_to(97))
     assert table_1e4.primes_to(96.5).tolist() == TRIAL_1E4[:24]
     assert table_1e4.primes_to(1).tolist() == []
     with pytest.raises(TableLimitError):
         table_1e4.primes_to(10_001)
 
 
-def test_checkpoints_nondecreasing_and_total(table_1e6):
-    cc = table_1e6.checkpoint_counts
-    assert np.all(np.diff(cc) >= 0)
-    assert cc[-1] == table_1e6.pi(10**6) == 78498
-
-
 def test_pi_across_small_segments(monkeypatch):
-    # 64 odd numbers per checkpoint and 256 per build chunk: pi at every
-    # x <= 1e4 crosses 79 checkpoints and 20 chunk boundaries
-    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 64)
+    # 256 odd numbers per build chunk: the table of 1e4 is filled from 20
+    # chunks, and pi at every x <= 1e4 reads across their boundaries
     monkeypatch.setattr(primes_mod, "_CHUNK_ODDS", 256)
     t = build_table(10_000)
-    assert len(t.checkpoint_counts) == 79
     counts = np.searchsorted(TRIAL_1E4, np.arange(10_001), side="right")
     assert [t.pi(x) for x in range(10_001)] == counts.tolist()
     assert t.primes_to(10_000).tolist() == TRIAL_1E4
