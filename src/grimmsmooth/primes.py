@@ -23,8 +23,12 @@ as a view of it, and :meth:`PrimeTable.pi` is a binary search in it.
 
 :func:`pi_table` counts primes without listing them: Lucy's form of the
 Legendre/Meissel recursion gives pi at every value x // k from the primes
-<= isqrt(x) alone, in O(x^(3/4) / log x) time and O(sqrt(x)) memory, and
-:func:`prime_pi` reads pi(x) off it.  psi's prime regime is built on it.
+<= isqrt(x) alone, in O(x^(3/4) / log x) elementwise work and O(sqrt(x))
+memory, and :func:`prime_pi` reads pi(x) off it.  As in Meissel-Lehmer,
+the recursion splits at the cube root: the primes p with p^3 <= x take
+one numpy pass each, and every prime above x^(1/3) is applied in one
+batched pass, so a table makes pi(x^(1/3)) per-prime passes, not
+pi(sqrt(x)).  psi's prime regime is built on it.
 """
 
 from __future__ import annotations
@@ -39,11 +43,16 @@ import numpy as np
 # Largest supported table: 105,097,565 int64 primes, about 802 MiB.
 MAX_LIMIT = 2**31
 
-# Largest isqrt(x) for a pi table, so x < 2^48.  A table costs about 48
-# bytes per unit of isqrt(x) at its peak (three int64 arrays and their
-# temporaries): pi(1e13) took 10 s at 158 MiB and pi(1e14) 88 s at 482 MiB
-# on 2 vCPUs, which puts the bound near 800 MiB and 3 minutes.
+# Largest isqrt(x) for a pi table, so x < 2^48.  A table costs about 24
+# bytes per unit of isqrt(x) at its peak (three int64 arrays; the other
+# temporaries are chunks, or one entry per prime of a sieve chunk):
+# pi(1e13) took 7.8-9.9 s at a peak RSS of 107 MiB and pi(1e14) 42.5 s at
+# 263 MiB on 2 vCPUs, which puts the bound near 420 MiB and 2 minutes.
 PI_TABLE_MAX_ROOT = 1 << 24
+
+# Entries, or (prime, k) pairs, per numpy pass of a pi table: it bounds the
+# table's temporaries to a few MiB whatever x is.
+_PI_CHUNK = 1 << 15
 
 # Odd numbers sieved per numpy pass.  Its 1 MiB of flags stays in a
 # core's L2 cache while every base prime strides over it: walking [2, 1e9]
@@ -118,10 +127,19 @@ def pi_table(x: int) -> tuple[np.ndarray, np.ndarray]:
     takes S(v) -= S(v // p) - S(p - 1) at every v >= p^2 in the table,
     which strikes the composites whose least prime factor is p.  The values
     x // k // p are again values of the table: ``large[k p]`` when k p <= r,
-    ``small[x // (k p)]`` otherwise.  Each update reads the old values, so
-    it is one numpy pass per prime.  That is O(x^(3/4) / log x) work over
-    three int64 arrays of r + 1 entries, with temporaries of up to r
-    entries; r is refused above ``PI_TABLE_MAX_ROOT`` before any of them is
+    ``small[x // (k p)]`` otherwise.
+
+    A prime with p^3 <= x reads values that earlier primes changed, so
+    each such prime is one numpy pass (:func:`_strike`).  The primes above
+    the cube root are taken together (:func:`_strike_above_cbrt`): once
+    p^2 > r, ``small`` is final, and such a p only changes ``large[k]`` for
+    k <= x // p^2 < p, while every ``large[m]`` it reads has m >= p, which
+    no prime above the cube root changes.  So the work is O(x^(3/4) /
+    log x) elementwise but only pi(x^(1/3)) per-prime passes.  The table
+    is two int64 arrays of r + 1 entries, and the per-prime passes read a
+    third, x // k for every k; every other temporary holds at most
+    ``_PI_CHUNK`` entries or pairs, or one entry per prime of a sieve
+    chunk.  r is refused above ``PI_TABLE_MAX_ROOT`` before anything is
     allocated.
     """
     x = int(x)
@@ -132,24 +150,72 @@ def pi_table(x: int) -> tuple[np.ndarray, np.ndarray]:
         )
     small = np.arange(-1, r, dtype=np.int64)
     small[0] = 0
-    quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # quot[k] = x // k
+    quot = np.zeros(r + 1, dtype=np.int64)  # quot[k] = x // k
+    for a in range(1, r + 1, _PI_CHUNK):
+        quot[a : a + _PI_CHUNK] = x // np.arange(a, min(a + _PI_CHUNK, r + 1))
     large = quot - 1
     large[0] = 0
     for ps in segments(2, r):
-        for p in ps.tolist():
-            sp = int(small[p - 1])
-            kmax = min(r, x // (p * p))
-            k1 = min(kmax, r // p)
-            large[1 : k1 + 1] -= large[p : k1 * p + 1 : p] - sp
-            large[k1 + 1 : kmax + 1] -= small[quot[k1 + 1 : kmax + 1] // p] - sp
-            if p * p <= r:  # v // p for v = p^2 .. r runs over p .. r // p, p times each
-                small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r - p * p + 1] - sp
+        cut = int(np.count_nonzero(ps <= x // (ps * ps)))  # the p with p^3 <= x
+        for p in ps[:cut].tolist():
+            _strike(small, large, quot, x, p)
+        if cut < len(ps):
+            quot = None  # no longer read: the primes above x^(1/3) divide x by k p
+            _strike_above_cbrt(small, large, x, ps[cut:])
     return small, large
+
+
+def _strike(small: np.ndarray, large: np.ndarray, quot: np.ndarray, x: int, p: int) -> None:
+    """One prime's pass of :func:`pi_table`, ``_PI_CHUNK`` entries at a time.
+
+    ``large[k]`` reads ``large[k p]`` (k p > k) or ``small``, so ``large``
+    is walked up; ``small[v]`` reads ``small[v // p]`` (< v), so it is
+    walked down: every read is of a value this prime has not yet struck.
+    """
+    r = len(small) - 1
+    sp = int(small[p - 1])
+    kmax = min(r, x // (p * p))
+    k1 = min(kmax, r // p)
+    for a in range(1, kmax + 1, _PI_CHUNK):
+        b = min(a + _PI_CHUNK, kmax + 1)  # k in [a, b)
+        j = min(max(a, k1 + 1), b)  # k in [a, j) read large, k in [j, b) small
+        large[a:j] -= large[a * p : j * p : p] - sp
+        large[j:b] -= small[quot[j:b] // p] - sp
+    for hi in range(r + 1, p * p, -_PI_CHUNK):
+        lo = max(p * p, hi - _PI_CHUNK)  # v in [lo, hi)
+        # v // p runs over lo // p .. (hi - 1) // p, p times each
+        q = small[lo // p : (hi - 1) // p + 1].repeat(p)[lo % p :]
+        small[lo:hi] -= q[: hi - lo] - sp
+
+
+def _strike_above_cbrt(small: np.ndarray, large: np.ndarray, x: int, ps: np.ndarray) -> None:
+    """The passes of the primes ``ps`` of :func:`pi_table`, all with
+    isqrt(x) >= p > x^(1/3), as one sum over the pairs (p, k <= x // p^2):
+    ``large[k]`` -= pi(x // (k p)) - pi(p - 1), ``_PI_CHUNK`` pairs at a
+    time, with ``np.subtract.at`` adding up the pairs that share a k."""
+    r = len(small) - 1
+    counts = x // (ps * ps)
+    ends = np.cumsum(counts)  # the pairs of ps[i] are numbered first[i] .. ends[i] - 1
+    first = ends - counts
+    for s in range(0, int(ends[-1]), _PI_CHUNK):
+        e = min(s + _PI_CHUNK, int(ends[-1]))  # the pairs s .. e - 1, of ps[i:j]
+        i = int(np.searchsorted(ends, s, side="right"))
+        j = int(np.searchsorted(ends, e - 1, side="right")) + 1
+        run = np.minimum(ends[i:j], e) - np.maximum(first[i:j], s)
+        p = np.repeat(ps[i:j], run)
+        k = np.arange(s + 1, e + 1) - np.repeat(first[i:j], run)
+        m = k * p
+        inside = m <= r
+        term = np.empty(len(m), dtype=np.int64)
+        term[inside] = large[m[inside]]
+        term[~inside] = small[x // m[~inside]]
+        term -= small[p - 1]
+        np.subtract.at(large, k, term)
 
 
 def prime_pi(x: int) -> int:
     """pi(x) for an integer x >= 0 from :func:`pi_table`, with no sieve of
-    [1, x]: pi(1e10) = 455,052,511 in about 0.15 s."""
+    [1, x]: pi(1e10) = 455,052,511 in about 0.05 s."""
     return int(pi_table(x)[1][1]) if x >= 2 else 0
 
 

@@ -8,9 +8,10 @@ sieve with every prime up to min(floor(y), x+z): an element is y-smooth
 exactly when the product of the prime powers it picked up equals it
 (``intervals._bound_smooth``), on either side of sqrt(x+z), and the unit
 is smooth for every y, y < 1 included, where no prime sieves at all.
-(:func:`psi_window` needs a table to min(floor(y), x+z) only and counts
-pi(y) from :func:`primes.prime_pi`, so its y is bounded by the pi
-table's isqrt(y) <= 2^24, not by the 2^31 table limit.)
+(:func:`psi_window` needs a table to min(floor(y), x+z) only.  It reads
+pi(y) off that table when floor(y) <= x+z, and counts it with
+:func:`primes.prime_pi` otherwise, so its y is bounded by the pi table's
+isqrt(y) <= 2^24, not by the 2^31 table limit.)
 
 :func:`psi` splits the same two regimes at ``floor(y) >= isqrt(x)``, taken
 between Python ints:
@@ -20,7 +21,7 @@ between Python ints:
   first step of Buchstab's identity.  Grouped by k = floor(x/p), that sum
   needs pi only at the values x // k, which :func:`primes.pi_table` holds
   for all k at once: no prime above y is listed, and a call costs
-  O(x^(3/4) / log x) for the table of x (0.2 s at x = 1e10), plus the
+  O(x^(3/4) / log x) for the table of x (0.05 s at x = 1e10), plus the
   smaller tables for pi(max(a, floor(y))) and, for a part (a, b] with
   b < x, for pi(b);
 * in the sieve regime (floor(y) < isqrt(x)) a value is y-smooth iff the
@@ -197,8 +198,10 @@ def window_table_limit(x: int, z: int, y: float) -> int:
 def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowReport:
     """Exact count of y-smooth integers in (x, x+z], with certificate ends.
 
-    pi(y) comes from :func:`primes.prime_pi`, so isqrt(floor(y)) must not
-    exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.
+    pi(y) is read off ``table`` when it reaches floor(y), as it does
+    whenever floor(y) <= x + z; otherwise it comes from
+    :func:`primes.prime_pi`, so isqrt(floor(y)) must not exceed
+    :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.
     """
     x, z = int(x), int(z)
     if x < 0 or z < 1:
@@ -212,10 +215,11 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
             f"have {table.limit}",
             required=required,
         )
-    pi_y = prime_pi(math.floor(y))
+    fy = math.floor(y)
+    pi_y = table.pi(fy) if fy <= table.limit else prime_pi(fy)
     count = 0
     head = tail = None
-    bound = min(math.floor(y), x + z)
+    bound = min(fy, x + z)
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
         smooth = np.flatnonzero(_bound_smooth(lo, hi, bound, table, False)[0])

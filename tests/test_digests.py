@@ -37,6 +37,13 @@ DIGESTS = [
      "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
     (["psi", "--x", "2000000", "--y", "1000", "--workers", "2"],
      "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
+    # the prime regime, from pi tables: Psi = 8532550 and 3265474310
+    (["psi", "--x", "20000000", "--y", "10000", "--workers", "1"],
+     "de71872e708e9f166537a07e34ef0cf85c2b5723f9ac8fe50ab5b0c02e303cc6"),
+    (["psi", "--x", "20000000", "--y", "10000", "--workers", "2"],
+     "de71872e708e9f166537a07e34ef0cf85c2b5723f9ac8fe50ab5b0c02e303cc6"),
+    (["psi", "--x", "10000000000", "--y", "100000"],
+     "7a32e9e425e7675a0656ec60d4e950d910b35f8ffa79508266218d26e3930d5e"),
     (["ram-sum", "--x", "100000000", "--alpha", "0.48"],
      "c8981735bd6577a982b8836dff95067ed7708f50c885df66fa8862275d7bdebe"),
     (["exceptional-scan", "--x-max", "400000", "--eps", "0.3", "--stride", "4"],

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,10 +165,57 @@ def test_pi_table_matches_table_property(table_1e6, x):
     assert prime_pi(x) == table_1e6.pi(x)
 
 
+def _assert_pi_table(x, primes):
+    # every entry against pi counted in a list of the primes, as PrimeTable.pi
+    small, large = pi_table(x)
+    r = math.isqrt(x)
+    ks = np.arange(1, r + 1)
+    assert small.tolist() == np.searchsorted(primes, np.arange(r + 1), "right").tolist(), x
+    assert large.tolist() == [0, *np.searchsorted(primes, x // ks, "right").tolist()], x
+
+
+def test_pi_table_every_entry_below_3000(table_1e4):
+    for x in range(3001):
+        _assert_pi_table(x, table_1e4.primes_to(x))
+
+
+def test_pi_table_every_entry_around_cubes_and_squares():
+    # the per-prime passes stop at the last p with p^3 <= x, and the small
+    # table's length changes at the squares
+    primes = build_table(8_000_000).primes_to(8_000_000)
+    for c in range(2, 200):
+        for x in (c**3 - 1, c**3, c**3 + 1, c * c - 1, c * c, c * c + 1):
+            _assert_pi_table(x, primes)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(0, 200_000))
+def test_pi_table_with_tiny_chunks(table_1e6, chunk, x):
+    # chunks of 1 and 7 entries (or pairs) cut every pass, per prime and
+    # batched, at every place a chunk edge can fall
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(primes_mod, "_PI_CHUNK", chunk)
+        _assert_pi_table(x, table_1e6.primes_to(x))
+
+
 def test_prime_pi_pins():
     # OEIS A006880
     assert prime_pi(10**9) == 50_847_534
     assert prime_pi(10**10) == 455_052_511
+    assert prime_pi(10**11) == 4_118_054_813
+
+
+def test_pi_table_temporaries_are_bounded():
+    # the two int64 result arrays and the quotient array x // k take
+    # 24 bytes per unit of isqrt(x); every other temporary is a chunk
+    tracemalloc.start()
+    try:
+        pi_table(10**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * (math.isqrt(10**11) + 1) + 4 * 2**20
 
 
 def test_pi_table_refuses_a_large_root_before_allocating(monkeypatch):

@@ -13,6 +13,7 @@ import grimmsmooth.smooth as smooth
 from grimmsmooth import (
     TableLimitError,
     build_rho_table,
+    build_table,
     exceptional_scan,
     g,
     grimm_upper_bound,
@@ -263,6 +264,21 @@ def test_psi_window_matches_oracle_across_y(table_1e5, x, z):
         rep = psi_window(x, z, y, table_1e5)
         got = (rep.count, rep.smooth_head, rep.smooth_tail)
         assert got == (len(want), min(want, default=None), max(want, default=None)), y
+
+
+@pytest.mark.parametrize("x,z", [(0, 40), (1000, 300), (20_000, 3_000)])
+def test_psi_window_pi_y_on_both_sides_of_x_plus_z(monkeypatch, x, z):
+    # floor(y) <= x + z: pi(y) is read off the window's own table, and
+    # prime_pi is not called; floor(y) > x + z: the table stops at x + z and
+    # prime_pi counts pi(y)
+    top = x + z
+    for y in (isqrt(top), top - 0.5, top, top + 0.5, top + 1, top + 1000):
+        table = build_table(smooth.window_table_limit(x, z, y))
+        with monkeypatch.context() as m:
+            if y < top + 1:
+                m.setattr(smooth, "prime_pi", None)
+            pi_y = psi_window(x, z, y, table).pi_y
+        assert pi_y == len(trial_primes(math.floor(y))), y
 
 
 def test_grimm_upper_bound_soundness_small(table_1e5):
