@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -36,8 +37,7 @@ from . import exponents as expo
 from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
 from .primes import (
-    MAX_LIMIT, PI_TABLE_MAX_ROOT, PrimeTable, TableLimitError, check_dusart, gap_check,
-    segments,
+    MAX_LIMIT, PI_TABLE_MAX_ROOT, PrimeTable, check_dusart, gap_check, segments,
 )
 from .smooth import (
     PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound,
@@ -45,14 +45,13 @@ from .smooth import (
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
+# no longer read by the CLI; perfbench still clears it before its runs
 ENV_TABLE_LIMIT = "GRIMMSMOOTH_TABLE_LIMIT"
 ENV_WORKERS = "GRIMMSMOOTH_WORKERS"
 
 # Fixed shard span for the range scans; independent of worker count so that
 # the merged output is too.
 SHARD_SPAN = 1 << 21
-
-_table_cache: PrimeTable | None = None
 
 
 @dataclass(frozen=True)
@@ -76,40 +75,33 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(rows: list[dict], fmt: str, out) -> None:
+def _emit(rows, fmt: str, out) -> None:
+    """Write ``rows``, any iterable of dicts read once, as one JSON array or
+    as CSV with the first row's keys as header (no rows, no header)."""
     if fmt == "json":
-        out.write(json.dumps(rows, default=_fmt, indent=None, separators=(",", ":")))
-        out.write("\n")
+        # encoded in batches: one encode call per row took twice as long
+        # as dumping the whole list
+        encode = json.JSONEncoder(default=_fmt, separators=(",", ":")).encode
+        rows, sep = iter(rows), ""
+        out.write("[")
+        while batch := list(itertools.islice(rows, 4096)):
+            out.write(sep + encode(batch)[1:-1])
+            sep = ","
+        out.write("]\n")
         return
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    out.write(",".join(cols) + "\n")
+    cols = None
     for r in rows:
+        if cols is None:
+            cols = list(r)
+            out.write(",".join(cols) + "\n")
         out.write(",".join(_fmt(r.get(c)) for c in cols) + "\n")
 
 
 def _get_table(required: int, args) -> PrimeTable:
-    """A prime table to ``limit``: ``required``, raised by the environment
-    floor or replaced by ``--table-limit``.  The manifest records that limit
-    (``args.table_limit_used``); the table returned may be a larger one
-    cached by an earlier call in the same process."""
-    global _table_cache
-    limit = max(2, int(required))
-    if args.table_floor is not None:
-        limit = max(limit, args.table_floor)
-    if args.table_limit is not None:
-        if args.table_limit < required:
-            raise TableLimitError(
-                f"--table-limit {args.table_limit} is below the required {required}",
-                required=required,
-            )
-        limit = args.table_limit
-    args.table_limit_used = limit
-    if _table_cache is not None and _table_cache.limit >= limit:
-        return _table_cache
-    _table_cache = PrimeTable(limit)
-    return _table_cache
+    """The prime table to ``required``, the bound the command's arguments
+    set; the manifest records its limit (``args.table_limit_used``)."""
+    args.table_limit_used = max(2, required)
+    return PrimeTable(args.table_limit_used)
 
 
 def _env_int(name: str) -> int | None:
@@ -130,7 +122,6 @@ def _resolve_env(args) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"{ENV_WORKERS} must be positive, got {workers}")
     args.worker_count = (os.cpu_count() or 1) if workers is None else workers
-    args.table_floor = _env_int(ENV_TABLE_LIMIT)
     args.table_limit_used = None
 
 
@@ -276,6 +267,24 @@ def _h_represent(args):
     return [{"n": args.n, "k": args.k, "status": status, "certificate": cert}], 0
 
 
+def _run_rows(limit, witness):
+    """Yield the row of every run of composites between consecutive primes
+    <= ``limit``, one sieve chunk at a time; ``witness`` maps the p of each
+    run that is not representable to its Hall witness."""
+    last = []  # the previous chunk's largest prime
+    for seg in segments(2, limit):
+        ps = last + seg.tolist()
+        for p, q in zip(ps, ps[1:]):
+            if q - p > 1:
+                yield {
+                    "p": p,
+                    "k": q - p - 1,
+                    "status": "not_representable" if p in witness else "representable",
+                    "witness": witness.get(p, ""),
+                }
+        last = ps[-1:]
+
+
 def _h_verify_grimm(args):
     table = _get_table(isqrt(args.limit) + 1, args)
     runs = max_k = max_k_p = 0
@@ -290,17 +299,7 @@ def _h_verify_grimm(args):
         # every run between consecutive primes is representable except the
         # failures the shards reported, each "p,k,not_representable,witness"
         witness = {int(p): w for p, _, _, w in (f.split(",") for f in failures)}
-        ps = [p for seg in segments(2, args.limit) for p in seg.tolist()]
-        rows = [
-            {
-                "p": p,
-                "k": q - p - 1,
-                "status": "not_representable" if p in witness else "representable",
-                "witness": witness.get(p, ""),
-            }
-            for p, q in zip(ps, ps[1:])
-            if q - p > 1
-        ]
+        rows = _run_rows(args.limit, witness)
         print(
             f"runs={runs} failures={len(failures)} max_k={max_k} at p={max_k_p}",
             file=sys.stderr,
@@ -369,11 +368,11 @@ def _h_psi(args):
     bound = psi_table_limit(x, y)
     meta = {"x": x, "y": y}
     if bound is None:
-        # the prime regime counts from pi tables, not from a prime table, so
-        # --table-limit has no effect there.  It runs as one shard (0, x] in
-        # this process, and its header records span x: a checkpoint of
-        # smooth counts, or of the 2^21-value prime-regime shards of earlier
-        # versions, for the same (x, y) holds other shares and must not resume.
+        # the prime regime counts from pi tables and builds no prime table.
+        # It runs as one shard (0, x] in this process, and its header
+        # records span x: a checkpoint of smooth counts, or of the 2^21-value
+        # prime-regime shards of earlier versions, for the same (x, y) holds
+        # other shares and must not resume.
         if math.floor(y) < x and isqrt(x) > PI_TABLE_MAX_ROOT:
             raise ValueError(
                 f"--x must be below {(PI_TABLE_MAX_ROOT + 1) ** 2} when "
@@ -573,7 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=_positive(int), default=None)
-        p.add_argument("--table-limit", type=int, default=None)
         p.add_argument(
             "--manifest",
             default=None,
@@ -656,9 +654,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _NON_PARAM_KEYS = {
-    "handler", "subcommand", "manifest", "worker_count", "table_floor",
-    "table_limit_used",
+    "handler", "subcommand", "manifest", "worker_count", "table_limit_used",
 }
 
 
@@ -686,9 +685,8 @@ def _peak_rss_kib() -> dict:
 
 def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
     """Parse argv, execute, emit output and manifest; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
 

@@ -57,6 +57,26 @@ def test_verify_grimm_emit_runs(tmp_path):
     assert len(lines) == 9  # header + 8 runs below 30
 
 
+def test_emit_runs_json_and_csv_give_the_same_runs(tmp_path, monkeypatch):
+    import grimmsmooth.primes as primes
+
+    # sieve chunks of 128 values, so the runs pair primes across chunks
+    monkeypatch.setattr(primes, "_CHUNK_ODDS", 64)
+    argv = ["verify-grimm", "--limit", "5000", "--emit-runs"]
+    code, csv_out = invoke(argv, tmp_path)
+    code_json, json_out = invoke(argv + ["--format", "json"], tmp_path)
+    assert code == code_json == 0
+    records = json.loads(json_out)
+    # the rows are written one by one, as the bytes of dumping the list
+    assert json_out == json.dumps(records, separators=(",", ":")) + "\n"
+    lines = csv_out.splitlines()
+    assert lines[0] == "p,k,status,witness"
+    assert [",".join(map(str, r.values())) for r in records] == lines[1:]
+    ps = sieve_primes(5000).tolist()
+    runs = [(p, q - p - 1) for p, q in zip(ps, ps[1:]) if q - p > 1]
+    assert [(r["p"], r["k"]) for r in records] == runs
+
+
 def test_gap_scan(tmp_path):
     code, out = invoke(["gap-scan", "--limit", "100000"], tmp_path)
     assert code == 0
@@ -260,6 +280,8 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["verify-grimm", "--limit", "100", "--checkpoint", str(tmp_path)], "--checkpoint"),
         (["gap-scan", "--limit", "100", "--checkpoint", str(tmp_path / "no" / "c")],
          "--checkpoint"),
+        # the table is sized by the arguments alone; the flag is gone
+        (["verify-grimm", "--limit", "100", "--table-limit", "100"], "--table-limit"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
@@ -272,16 +294,25 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert f"--manifest {path}" in capsys.readouterr().err
 
 
-def test_table_limit_too_small_is_resource_error(tmp_path):
-    code, _ = invoke(
-        ["verify-grimm", "--limit", "10000", "--table-limit", "100"], tmp_path
-    )
-    assert code == 2
+def test_runs_in_one_process_share_no_parse_state(tmp_path):
+    # the parser is built once per process: the flags of one run must not
+    # reach the next, in its output or in its manifest
+    dump = ["rho", "--dump", "--t-max", "2", "--step", "0.01"]
+    point = ["rho", "--t", "2"]
+    runs = []
+    for argv in (point, dump, point, dump):
+        mpath = tmp_path / "rho.manifest.json"
+        out = invoke(argv, tmp_path, manifest=mpath)
+        runs.append((out, json.loads(mpath.read_text())["parameters"]))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert runs[0][0][1].count("\n") == 2 and runs[1][0][1].count("\n") == 202
+    assert runs[0][1] == {
+        "dump": False, "format": "csv", "step": 0.001, "t": 2.0, "t_max": 8.0,
+    }
 
 
-def test_window_table_reaches_the_sieving_bound_only(tmp_path, monkeypatch):
+def test_window_table_reaches_the_sieving_bound_only(tmp_path):
     # the window near 1e12 sieves with the primes to y = 600 alone
-    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
     mpath = tmp_path / "gb.manifest.json"
     for argv in (
         ["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600"],
@@ -290,19 +321,16 @@ def test_window_table_reaches_the_sieving_bound_only(tmp_path, monkeypatch):
         base = invoke(argv, tmp_path, manifest=mpath)
         assert base[0] == 0
         assert json.loads(mpath.read_text())["table_limit"] == 600
-        assert invoke(argv + ["--table-limit", "600"], tmp_path) == base
-        assert invoke(argv + ["--table-limit", "599"], tmp_path)[0] == 2
     # and with y past x + z, with the primes to x + z = 150
     argv = ["psi-window", "--x", "100", "--z", "50", "--y", "1000000"]
     assert invoke(argv, tmp_path, manifest=mpath)[0] == 0
     assert json.loads(mpath.read_text())["table_limit"] == 150
 
 
-def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):
+def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path):
     # x = 1e8, alpha = 1/3: W = 464 and isqrt(x + W) + 1 = 10,001, which the
-    # manifest records even after an in-process call cached a larger table
+    # manifest records even after an in-process call built a larger table
     # (31,623 for the window of 1e9)
-    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
     assert invoke(["represent", "--n", "1000000000", "--k", "3"], tmp_path)[0] == 0
     argv = ["ram-sum", "--x", "100000000", "--alpha", str(1 / 3)]
     mpath = tmp_path / "rs.manifest.json"
@@ -311,8 +339,6 @@ def test_ram_sum_table_reaches_sqrt_of_window_top(tmp_path, monkeypatch):
     data = json.loads(mpath.read_text())
     assert data["table_limit"] == 10_001
     assert replay_manifest(str(mpath))[1] == data["result_digest"]
-    assert invoke(argv + ["--table-limit", "10001"], tmp_path) == (code, out)
-    assert invoke(argv + ["--table-limit", "10000"], tmp_path)[0] == 2
 
 
 def test_ram_sum_past_2_31(tmp_path):
@@ -466,12 +492,15 @@ def test_checkpoint_resume(tmp_path, capsys):
     assert code == 2 and "0.0.0-other" in capsys.readouterr().err
 
 
-def test_env_table_limit_floor(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRIMMSMOOTH_TABLE_LIMIT", "5000")
+def test_env_table_limit_is_not_read(tmp_path, monkeypatch):
     mpath = tmp_path / "env.manifest.json"
-    code, out = invoke(["g", "--n", "2"], tmp_path, manifest=mpath)
-    assert code == 0 and out == "n,g\n2,3\n"
-    assert json.loads(mpath.read_text())["table_limit"] == 5000
+    base = invoke(["g", "--n", "2"], tmp_path, manifest=mpath)
+    assert base == (0, "n,g\n2,3\n")
+    limit = json.loads(mpath.read_text())["table_limit"]
+    for value in ("5000", "abc"):
+        monkeypatch.setenv("GRIMMSMOOTH_TABLE_LIMIT", value)
+        assert invoke(["g", "--n", "2"], tmp_path, manifest=mpath) == base
+        assert json.loads(mpath.read_text())["table_limit"] == limit
 
 
 def test_env_workers_default(tmp_path, monkeypatch):
@@ -570,7 +599,6 @@ def test_bad_env_values_exit_2(tmp_path, monkeypatch, capsys):
         ("GRIMMSMOOTH_WORKERS", "abc"),
         ("GRIMMSMOOTH_WORKERS", "0"),
         ("GRIMMSMOOTH_WORKERS", "-3"),
-        ("GRIMMSMOOTH_TABLE_LIMIT", "abc"),
     ):
         with monkeypatch.context() as m:
             m.setenv(var, value)
@@ -608,7 +636,6 @@ def test_psi_checkpoint_resumes(tmp_path, monkeypatch, capsys):
 def test_psi_regimes_across_workers(tmp_path, monkeypatch):
     import grimmsmooth.cli as cli
 
-    monkeypatch.delenv("GRIMMSMOOTH_TABLE_LIMIT", raising=False)
     monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 176 or 177 shards
     mpath = tmp_path / "psi.manifest.json"
     k = 150
@@ -624,8 +651,6 @@ def test_psi_regimes_across_workers(tmp_path, monkeypatch):
             limit = json.loads(mpath.read_text())["table_limit"]
             assert limit == (int(y) if sieves else None), argv
             assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
-            if not sieves:  # so --table-limit has no effect there
-                assert invoke(argv + ["--table-limit", "1"], tmp_path) == base, argv
 
 
 def test_psi_checkpoint_of_smooth_counts_is_refused(tmp_path, monkeypatch, capsys):
