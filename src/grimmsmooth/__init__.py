@@ -61,7 +61,7 @@ from .sums import (
     window_exponent_floor,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Alpha1Scan",

@@ -9,9 +9,11 @@ whose boundaries depend only on the requested range (never on the worker
 count).  One generator, :func:`_shards`, runs the shards of every sharded
 command (verify-grimm, gap-scan, psi, exceptional-scan): it walks the range
 lazily, computes in a fork pool or in this process, reads and appends the
-per-shard checkpoint, and yields the results in shard order, which each
-handler folds in a plain loop.  Neither the shards nor their results are
-ever held as a list.
+per-shard checkpoint, and yields the results in shard order.  Each handler
+folds them with its summary's ``merge`` (verify-grimm, gap-scan and
+exceptional-scan) or adds them (psi), and only these four commands take
+``--workers``.  Neither the shards nor their results are ever held as a
+list, and the output is hashed and written piece by piece as it is made.
 
 Exit codes: 0 success, 1 verification failure found (a Grimm counterexample
 or a violated bound -- newsworthy, not an error), 2 usage/resource errors.
@@ -30,18 +32,23 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 from . import __version__
 from . import exponents as expo
 from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
-from .grimm import g, g1, has_representation, search_table_limit, verify_grimm_summary
+from .grimm import (
+    VerifySummary, g, g1, has_representation, search_table_limit, verify_grimm_summary,
+)
 from .primes import (
-    MAX_LIMIT, PI_TABLE_MAX_ROOT, PrimeTable, check_dusart, gap_check, segments,
+    MAX_LIMIT, PI_TABLE_MAX_ROOT, GapScanSummary, PrimeTable, check_dusart, gap_check,
+    segments,
 )
 from .smooth import (
-    PSI_MAX_X, ExceptionalScanReport, exceptional_scan, grimm_upper_bound,
-    psi_part, psi_table_limit, psi_window, scan_c0, window_table_limit,
+    PSI_MAX_X, WINDOW_MAX_END, ExceptionalScanReport, exceptional_scan,
+    grimm_upper_bound, psi_part, psi_table_limit, psi_window, scan_c0,
+    window_table_limit,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -75,26 +82,30 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(rows, fmt: str, out) -> None:
-    """Write ``rows``, any iterable of dicts read once, as one JSON array or
-    as CSV with the first row's keys as header (no rows, no header)."""
+def _emit(rows, fmt: str):
+    """Yield the text of ``rows``, any iterable of dicts read once, as one
+    JSON array or as CSV with the first row's keys as header (no rows, no
+    header), one piece per 4096 rows; nothing is yielded before the first
+    rows are made."""
+    # in batches: one encode call per row took twice as long as dumping the
+    # whole list
+    rows = iter(rows)
+    batches = iter(lambda: list(itertools.islice(rows, 4096)), [])
     if fmt == "json":
-        # encoded in batches: one encode call per row took twice as long
-        # as dumping the whole list
         encode = json.JSONEncoder(default=_fmt, separators=(",", ":")).encode
-        rows, sep = iter(rows), ""
-        out.write("[")
-        while batch := list(itertools.islice(rows, 4096)):
-            out.write(sep + encode(batch)[1:-1])
+        sep = "["
+        for batch in batches:
+            yield sep + encode(batch)[1:-1]
             sep = ","
-        out.write("]\n")
+        yield "[]\n" if sep == "[" else "]\n"
         return
     cols = None
-    for r in rows:
+    for batch in batches:
+        head = ""
         if cols is None:
-            cols = list(r)
-            out.write(",".join(cols) + "\n")
-        out.write(",".join(_fmt(r.get(c)) for c in cols) + "\n")
+            cols = list(batch[0])
+            head = ",".join(cols) + "\n"
+        yield head + "".join(",".join(_fmt(r.get(c)) for c in cols) + "\n" for r in batch)
 
 
 def _get_table(required: int, args) -> PrimeTable:
@@ -115,13 +126,17 @@ def _env_int(name: str) -> int | None:
 
 
 def _resolve_env(args) -> None:
-    """Read the environment defaults once, onto ``args``."""
-    workers = args.workers
+    """Read the environment defaults once, onto ``args``: a sharded
+    command's worker count is ``--workers``, else ``GRIMMSMOOTH_WORKERS``,
+    else the CPU count; every other command has one."""
+    workers = getattr(args, "workers", 1)
     if workers is None:
         workers = _env_int(ENV_WORKERS)
-        if workers is not None and workers < 1:
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif workers < 1:
             raise ValueError(f"{ENV_WORKERS} must be positive, got {workers}")
-    args.worker_count = (os.cpu_count() or 1) if workers is None else workers
+    args.worker_count = workers
     args.table_limit_used = None
 
 
@@ -213,26 +228,7 @@ def _shards(args, lo, hi, span, shard_fn, table, meta):
 
 def _verify_shard(bounds, table):
     lo, hi = bounds
-    s = verify_grimm_summary(hi, table, lo=lo)
-    return {
-        "runs": s.runs,
-        "max_k": s.max_k,
-        "max_k_p": s.max_k_p,
-        "failures": [r.csv_row() for r in s.failures],
-    }
-
-
-def _gap_shard(bounds, table):
-    lo, hi = bounds
-    s = gap_check(hi, lo=lo)
-    return {
-        "pairs": s.pairs,
-        "max_gap": s.max_gap,
-        "max_gap_p": s.max_gap_p,
-        "violations": [
-            [r.p, r.next_p, r.gap, r.cramer_bound] for r in s.violations
-        ],
-    }
+    return verify_grimm_summary(hi, table, lo=lo).to_json()
 
 
 def _scan_shard(bounds, table, eps, c0, stride):
@@ -287,59 +283,43 @@ def _run_rows(limit, witness):
 
 def _h_verify_grimm(args):
     table = _get_table(isqrt(args.limit) + 1, args)
-    runs = max_k = max_k_p = 0
-    failures = []
     meta = {"limit": args.limit}
-    for p in _shards(args, 2, args.limit, SHARD_SPAN, _verify_shard, table, meta):
-        runs += p["runs"]
-        failures += p["failures"]
-        if p["max_k"] > max_k:
-            max_k, max_k_p = p["max_k"], p["max_k_p"]
+    shards = _shards(args, 2, args.limit, SHARD_SPAN, _verify_shard, table, meta)
+    s = reduce(
+        VerifySummary.merge, map(VerifySummary.from_json, shards),
+        VerifySummary(lo=2, hi=2, runs=0, failures=(), max_k=0, max_k_p=0),
+    )
+    failures = len(s.failures)
     if args.emit_runs:
         # every run between consecutive primes is representable except the
-        # failures the shards reported, each "p,k,not_representable,witness"
-        witness = {int(p): w for p, _, _, w in (f.split(",") for f in failures)}
+        # failures the shards reported, with their Hall witnesses
+        witness = {r.p: ";".join(map(str, sorted(r.result.hall_witness))) for r in s.failures}
         rows = _run_rows(args.limit, witness)
-        print(
-            f"runs={runs} failures={len(failures)} max_k={max_k} at p={max_k_p}",
-            file=sys.stderr,
-        )
+        summary = f"runs={s.runs} failures={failures} max_k={s.max_k} at p={s.max_k_p}"
+        print(summary, file=sys.stderr)
     else:
-        rows = [
-            {
-                "limit": args.limit,
-                "runs": runs,
-                "failures": len(failures),
-                "max_k": max_k,
-                "max_k_p": max_k_p,
-            }
-        ]
-    for row in failures:
-        print(f"NOT REPRESENTABLE: {row}", file=sys.stderr)
+        rows = [{
+            "limit": args.limit, "runs": s.runs, "failures": failures,
+            "max_k": s.max_k, "max_k_p": s.max_k_p,
+        }]
+    for r in s.failures:
+        print(f"NOT REPRESENTABLE: {r.csv_row()}", file=sys.stderr)
     return rows, (1 if failures else 0)
 
 
 def _h_gap_scan(args):
-    pairs = max_gap = max_gap_p = 0
-    violations = []
-    meta = {"limit": args.limit}
-    for p in _shards(args, 2, args.limit, SHARD_SPAN, _gap_shard, None, meta):
-        pairs += p["pairs"]
-        violations += p["violations"]
-        if p["max_gap"] > max_gap:
-            max_gap, max_gap_p = p["max_gap"], p["max_gap_p"]
-    for v in violations:
-        print(f"GAP BOUND VIOLATED: p={v[0]} next={v[1]} gap={v[2]}", file=sys.stderr)
-    rows = [
-        {
-            "limit": args.limit,
-            "pairs": pairs,
-            "violations": len(violations),
-            "max_gap": max_gap,
-            "max_gap_p": max_gap_p,
-        }
-    ]
-    return rows, (1 if violations else 0)
+    shards = _shards(
+        args, 2, args.limit, SHARD_SPAN,
+        lambda ab, t: gap_check(ab[1], lo=ab[0]).to_json(), None, {"limit": args.limit},
+    )
+    s = reduce(
+        GapScanSummary.merge, map(GapScanSummary.from_json, shards),
+        GapScanSummary(limit=2, pairs=0, violations=(), max_gap=0, max_gap_p=0),
+    )
+    for v in s.violations:
+        print(f"GAP BOUND VIOLATED: p={v.p} next={v.next_p} gap={v.gap}", file=sys.stderr)
+    row = asdict(s) | {"limit": args.limit, "violations": len(s.violations)}
+    return [row], (1 if s.violations else 0)
 
 
 def _h_dusart(args):
@@ -387,8 +367,14 @@ def _h_psi(args):
 
 
 def _window_table(args) -> PrimeTable:
-    """The table of psi-window and grimm-bound, once --y is known to be in
-    reach of the pi table that counts pi(y)."""
+    """The table of psi-window and grimm-bound, once the window is known to
+    end within int64 and --y to be in reach of the pi table that counts
+    pi(y)."""
+    if args.x + args.z > WINDOW_MAX_END:
+        raise ValueError(
+            f"--x plus --z must be at most {WINDOW_MAX_END} (2^63 - 1); "
+            f"got {args.x} + {args.z}"
+        )
     if isqrt(math.floor(args.y)) > PI_TABLE_MAX_ROOT:
         raise ValueError(
             f"--y must be below {(PI_TABLE_MAX_ROOT + 1) ** 2}, the pi table's "
@@ -447,23 +433,12 @@ def _h_exceptional_scan(args):
     def shard(bounds, table):
         return _scan_shard(bounds, table, args.eps, c0, args.stride)
 
-    sampled = degenerate = evaluated = failures = 0
-    first: list[int] = []
-    # SHARD_SPAN sampled n per shard; the scan takes no --checkpoint
+    # SHARD_SPAN sampled n per shard, and at least one shard; the scan
+    # takes no --checkpoint
     span = args.stride * SHARD_SPAN
-    for p in _shards(args, 1, args.x_max + 1, span, shard, table, {}):
-        sampled += p.sampled
-        degenerate += p.degenerate
-        evaluated += p.evaluated
-        failures += p.failures
-        first += p.first_failures[: 20 - len(first)]
-    rep = ExceptionalScanReport(
-        x_max=args.x_max, eps=args.eps, c0=float(c0), stride=args.stride,
-        sampled=sampled, degenerate=degenerate, evaluated=evaluated, failures=failures,
-        failure_fraction=failures / evaluated if evaluated else 0.0,
-        first_failures=tuple(first),
-    )
-    row = asdict(rep) | {"first_failures": ";".join(map(str, first))}
+    shards = _shards(args, 1, args.x_max + 1, span, shard, table, {})
+    rep = reduce(ExceptionalScanReport.merge, shards)
+    row = asdict(rep) | {"first_failures": ";".join(map(str, rep.first_failures))}
     return [row], 0
 
 
@@ -553,6 +528,8 @@ _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 # the range scans stay within 2^31, the range they are tested on
 _scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
 _psi_x = _checked(int, lambda v: 0 <= v <= PSI_MAX_X, f"in [0, {PSI_MAX_X}]")
+# exceptional-scan's sampled n, and its stride, stay within psi's headroom
+_scan_n = _checked(int, lambda v: 0 < v <= PSI_MAX_X, f"in [1, {PSI_MAX_X}]")
 _rho_t_max = _checked(float, lambda v: 1 <= v <= MAX_T, f"in [1, {MAX_T}]")
 _rho_step = _checked(
     float, lambda v: nodes_per_unit(v) is not None,
@@ -567,11 +544,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, **kw):
+    def add(name, handler, sharded=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=_positive(int), default=None)
+        if sharded:  # only the sharded commands can start a pool
+            p.add_argument("--workers", type=_positive(int), default=None)
         p.add_argument(
             "--manifest",
             default=None,
@@ -590,19 +568,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive(int), required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("verify-grimm", _h_verify_grimm, help="verify all composite runs below limit")
+    p = add(
+        "verify-grimm", _h_verify_grimm, sharded=True,
+        help="verify all composite runs below limit",
+    )
     p.add_argument("--limit", type=_scan_limit, required=True)
     p.add_argument("--emit-runs", action="store_true")
     p.add_argument("--checkpoint", default=None)
 
-    p = add("gap-scan", _h_gap_scan, help="prime gaps against 1 + (log p)^2")
+    p = add("gap-scan", _h_gap_scan, sharded=True, help="prime gaps against 1 + (log p)^2")
     p.add_argument("--limit", type=_scan_limit, required=True)
     p.add_argument("--checkpoint", default=None)
 
     p = add("dusart-check", _h_dusart, help="explicit pi and theta bounds up to limit")
     p.add_argument("--limit", type=_scan_limit, required=True)
 
-    p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
+    p = add("psi", _h_psi, sharded=True, help="global smooth count Psi(x, y)")
     p.add_argument("--x", type=_psi_x, required=True)
     p.add_argument("--y", type=_smooth_y, required=True)
     p.add_argument("--checkpoint", default=None)
@@ -623,11 +604,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_rho_step, default=1e-3)
     p.add_argument("--dump", action="store_true")
 
-    p = add("exceptional-scan", _h_exceptional_scan, help="short-window smoothness failures")
-    p.add_argument("--x-max", type=_positive(int), required=True)
+    p = add(
+        "exceptional-scan", _h_exceptional_scan, sharded=True,
+        help="short-window smoothness failures",
+    )
+    p.add_argument("--x-max", type=_scan_n, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--c0", type=_positive(float), default=None)
-    p.add_argument("--stride", type=_positive(int), default=1)
+    p.add_argument("--stride", type=_scan_n, default=1)
 
     p = add("ram-sum", _h_ram_sum, help="scaled prime-counting sum S(x, alpha)")
     p.add_argument("--x", type=_positive(int), required=True)
@@ -691,25 +675,25 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
         return int(e.code or 0)
 
     t0 = time.perf_counter()
-    buf = io.StringIO()
+    out = stdout if stdout is not None else sys.stdout
+    digest = hashlib.sha256()
     try:
         _resolve_env(args)
         rows, flag = args.handler(args)
-        _emit(rows, args.format, buf)
+        for piece in _emit(rows, args.format):
+            out.write(piece)
+            digest.update(piece.encode())
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    payload = buf.getvalue()
-    (stdout if stdout is not None else sys.stdout).write(payload)
 
-    digest = hashlib.sha256(payload.encode()).hexdigest()
     manifest = RunManifest(
         subcommand=args.subcommand,
         parameters=_manifest_params(args),
         table_limit=args.table_limit_used,
         worker_count=args.worker_count,
         wall_time_s=time.perf_counter() - t0,
-        result_digest=digest,
+        result_digest=digest.hexdigest(),
         peak_rss_kib=_peak_rss_kib(),
     )
     path = args.manifest

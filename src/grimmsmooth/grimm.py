@@ -100,12 +100,46 @@ class GrimmRunReport:
 
 @dataclass(frozen=True)
 class VerifySummary:
+    """The runs closing at primes in (lo, hi]: how many, the ones with no
+    representation, and the first longest run, of length max_k after the
+    prime max_k_p."""
+
     lo: int
     hi: int
     runs: int
     failures: tuple[GrimmRunReport, ...]
     max_k: int
     max_k_p: int
+
+    def merge(self, other: VerifySummary) -> VerifySummary:
+        """The summary of (self.lo, other.hi] from those of the adjacent
+        ranges (self.lo, self.hi] and (self.hi, other.hi]: counts add,
+        failures join in order, and the first longest run is kept."""
+        if other.lo != self.hi:
+            raise ValueError(f"(.., {self.hi}] and ({other.lo}, ..] are not adjacent")
+        longest = other if other.max_k > self.max_k else self
+        return VerifySummary(
+            lo=self.lo, hi=other.hi, runs=self.runs + other.runs,
+            failures=self.failures + other.failures,
+            max_k=longest.max_k, max_k_p=longest.max_k_p,
+        )
+
+    def to_json(self) -> dict:
+        """The fields as JSON values, each failure as [p, k, Hall witness]."""
+        failures = [[r.p, r.k, sorted(r.result.hall_witness)] for r in self.failures]
+        return {
+            "lo": self.lo, "hi": self.hi, "runs": self.runs, "failures": failures,
+            "max_k": self.max_k, "max_k_p": self.max_k_p,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> VerifySummary:
+        """The summary :meth:`to_json` gave ``data`` for."""
+        failures = tuple(
+            GrimmRunReport(p, k, RepresentationResult(False, hall_witness=frozenset(w)))
+            for p, k, w in data["failures"]
+        )
+        return cls(**data | {"failures": failures})
 
 
 def _augment(

@@ -34,7 +34,7 @@ pi(sqrt(x)).  psi's prime regime is built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -302,11 +302,34 @@ class GapRecord:
 
 @dataclass(frozen=True)
 class GapScanSummary:
+    """The prime pairs whose second prime lies at or below limit (and above
+    the scan's lo): how many, the ones violating the bound, and the first
+    largest gap, max_gap after the prime max_gap_p."""
+
     limit: int
     pairs: int
     violations: tuple[GapRecord, ...]
     max_gap: int
     max_gap_p: int
+
+    def merge(self, other: GapScanSummary) -> GapScanSummary:
+        """The summary of this scan's range followed by ``other``'s: counts
+        add, violations join in order, and the first largest gap is kept."""
+        widest = other if other.max_gap > self.max_gap else self
+        return GapScanSummary(
+            limit=other.limit, pairs=self.pairs + other.pairs,
+            violations=self.violations + other.violations,
+            max_gap=widest.max_gap, max_gap_p=widest.max_gap_p,
+        )
+
+    def to_json(self) -> dict:
+        """The fields as JSON values, each violation as a dict."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, data: dict) -> GapScanSummary:
+        """The summary :meth:`to_json` gave ``data`` for."""
+        return cls(**data | {"violations": tuple(GapRecord(**v) for v in data["violations"])})
 
 
 def gap_check(limit: int, lo: int = 2) -> GapScanSummary:

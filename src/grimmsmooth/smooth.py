@@ -60,7 +60,7 @@ disjoint windows (stride > z) are sieved one by one, never the gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
@@ -71,6 +71,13 @@ from .primes import PrimeTable, TableLimitError, pi_table, prime_pi
 
 # Largest x for psi: the sieve arrays hold the values themselves as int64.
 PSI_MAX_X = 2**62
+
+# Largest x + z for psi_window: the window sieve's int64 arrays hold the
+# values of the window, and past it they wrap.
+WINDOW_MAX_END = 2**63 - 1
+
+# Failures an exceptional scan lists, and a merge of two scans keeps.
+_MAX_REPORTED = 20
 
 _BLOCK = 1 << 20
 
@@ -124,6 +131,21 @@ class ExceptionalScanReport:
     failures: int
     failure_fraction: float
     first_failures: tuple[int, ...]
+
+    def merge(self, other: ExceptionalScanReport) -> ExceptionalScanReport:
+        """The report of this scan's samples followed by ``other``'s, for
+        the same eps, c0 and stride: counts add, the first failures join up
+        to 20 and the failure fraction is recomputed."""
+        if (self.eps, self.c0, self.stride) != (other.eps, other.c0, other.stride):
+            raise ValueError("only scans with the same eps, c0 and stride merge")
+        evaluated = self.evaluated + other.evaluated
+        failures = self.failures + other.failures
+        return replace(
+            other, sampled=self.sampled + other.sampled,
+            degenerate=self.degenerate + other.degenerate, evaluated=evaluated,
+            failures=failures, failure_fraction=failures / evaluated if evaluated else 0.0,
+            first_failures=(self.first_failures + other.first_failures)[:_MAX_REPORTED],
+        )
 
 
 def psi_table_limit(x: int, y: float) -> int | None:
@@ -201,11 +223,14 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     pi(y) is read off ``table`` when it reaches floor(y), as it does
     whenever floor(y) <= x + z; otherwise it comes from
     :func:`primes.prime_pi`, so isqrt(floor(y)) must not exceed
-    :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.
+    :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.  The window must end at or
+    below ``WINDOW_MAX_END`` = 2^63 - 1.
     """
     x, z = int(x), int(z)
     if x < 0 or z < 1:
         raise ValueError(f"need x >= 0 and z >= 1, got x={x}, z={z}")
+    if x + z > WINDOW_MAX_END:
+        raise ValueError(f"need x + z <= 2^63 - 1, got x={x}, z={z}")
     if y <= 0:
         raise ValueError(f"y must be positive, got {y}")
     required = window_table_limit(x, z, y)
@@ -279,7 +304,7 @@ def exceptional_scan(
     table: PrimeTable,
     c0: float | None = None,
     stride: int = 1,
-    max_reported: int = 20,
+    max_reported: int = _MAX_REPORTED,
     start: int = 1,
 ) -> ExceptionalScanReport:
     """Fraction of sampled n = start, start + stride, ... <= x_max failing

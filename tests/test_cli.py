@@ -252,8 +252,11 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["psi", "--x", str(2**48 + 2**25 + 1), "--y", str(2**24 + 1)], "--x"),
         (["represent", "--n", "-5", "--k", "3"], "--n"),
         (["represent", "--n", "0", "--k", "3"], "--n"),
-        (["g", "--n", "100", "--workers", "0"], "--workers"),
+        (["gap-scan", "--limit", "100", "--workers", "0"], "--workers"),
         (["psi", "--x", "100", "--y", "3", "--workers", "-3"], "--workers"),
+        # only the four sharded commands can start a pool and take the flag
+        (["g", "--n", "100", "--workers", "2"], "--workers"),
+        (["ram-sum", "--x", "100", "--alpha", "0.4", "--workers", "1"], "--workers"),
         (["psi", "--x", "10", "--y", "nan"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
         (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
@@ -268,6 +271,14 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         # pi(y) is counted from a pi table, which needs isqrt(y) <= 2^24
         (["psi-window", "--x", "10", "--z", "5", "--y", str(2**48 + 2**25 + 1)], "--y"),
         (["grimm-bound", "--x", "10", "--y", "1e15", "--z", "5"], "--y"),
+        # a window must end within int64, where its sieve does not wrap
+        (["psi-window", "--x", str(2**63 - 100), "--z", "400", "--y", "1e5"], "--x"),
+        (["grimm-bound", "--x", str(10**20), "--y", "1000", "--z", "1000"], "--x"),
+        (["grimm-bound", "--x", str(2**63 - 5), "--y", "1000", "--z", "5"], "--x"),
+        (["exceptional-scan", "--x-max", str(2**62 + 1), "--eps", "0.1"], "--x-max"),
+        (["exceptional-scan", "--x-max", "19223372036854775000", "--eps", "0.1",
+          "--stride", str(10**18)], "--x-max"),
+        (scan + ["--stride", str(2**62 + 1)], "--stride"),
         (["ram-sum", "--x", "-5", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "0", "--alpha", "0.4"], "--x"),
         (["ram-sum", "--x", "100", "--alpha", "nan"], "--alpha"),
@@ -490,6 +501,14 @@ def test_checkpoint_resume(tmp_path, capsys):
         ["verify-grimm", "--limit", "200000", "--checkpoint", str(ck)], tmp_path
     )
     assert code == 2 and "0.0.0-other" in capsys.readouterr().err
+    # a 0.1.0 file, whose shard lines have another form, is refused by name
+    header["meta"]["version"] = "0.1.0"
+    old = {"runs": 12, "max_k": 5, "max_k_p": 23, "failures": []}
+    ck.write_text(json.dumps(header) + "\n" + json.dumps({"shard": 0, "result": old}) + "\n")
+    code, out = invoke(
+        ["verify-grimm", "--limit", "200000", "--checkpoint", str(ck)], tmp_path
+    )
+    assert (code, out) == (2, "") and str(ck) in capsys.readouterr().err
 
 
 def test_env_table_limit_is_not_read(tmp_path, monkeypatch):
@@ -508,6 +527,11 @@ def test_env_workers_default(tmp_path, monkeypatch):
     mpath = tmp_path / "w.manifest.json"
     code, _ = invoke(["gap-scan", "--limit", "1000"], tmp_path, manifest=mpath)
     assert json.loads(mpath.read_text())["worker_count"] == 3
+    # a command that cannot start a pool neither reads it nor takes --workers
+    monkeypatch.setenv("GRIMMSMOOTH_WORKERS", "abc")
+    assert invoke(["g", "--n", "2"], tmp_path, manifest=mpath) == (0, "n,g\n2,3\n")
+    data = json.loads(mpath.read_text())
+    assert data["worker_count"] == 1 and "workers" not in data["parameters"]
 
 
 def test_exit_1_when_a_bound_breaks(tmp_path, monkeypatch):
@@ -526,21 +550,31 @@ def test_exit_1_when_a_bound_breaks(tmp_path, monkeypatch):
     assert out.splitlines()[1].startswith("pi_upper,100,99,1,")
 
 
-def test_exit_1_on_verify_failure(tmp_path, monkeypatch):
+def fake_verify(failure, runs, max_k, max_k_p):
+    """A verify_grimm_summary whose every range reports ``failure``, a
+    GrimmRunReport, so that the shards' summaries pass through the
+    checkpoint's JSON round trip."""
+    from grimmsmooth import VerifySummary
+
+    def summary(limit, table, lo=2):
+        return VerifySummary(lo, limit, runs, (failure,), max_k, max_k_p)
+
+    return summary
+
+
+def test_exit_1_on_verify_failure(tmp_path, monkeypatch, capsys):
     import grimmsmooth.cli as cli
+    from grimmsmooth import GrimmRunReport, RepresentationResult
 
-    def fake_shard(bounds, table):
-        return {
-            "runs": 1,
-            "max_k": 4,
-            "max_k_p": 2,
-            "failures": ["2,4,not_representable,1;2;4"],
-        }
-
-    monkeypatch.setattr(cli, "_verify_shard", fake_shard)
-    code, out = invoke(["verify-grimm", "--limit", "100"], tmp_path)
-    assert code == 1
-    assert out.splitlines()[1] == "100,1,1,4,2"
+    failure = GrimmRunReport(2, 4, RepresentationResult(False, hall_witness=frozenset({1, 2, 4})))
+    monkeypatch.setattr(cli, "verify_grimm_summary", fake_verify(failure, 1, 4, 2))
+    ck = tmp_path / "fail.ckpt"
+    for _ in range(2):  # computed, then loaded from the checkpoint
+        capsys.readouterr()
+        code, out = invoke(["verify-grimm", "--limit", "100", "--checkpoint", str(ck)], tmp_path)
+        assert code == 1
+        assert out.splitlines()[1] == "100,1,1,4,2"
+        assert "NOT REPRESENTABLE: 2,4,not_representable,1;2;4" in capsys.readouterr().err
 
 
 def test_partial_checkpoint_resume(tmp_path):
@@ -559,16 +593,10 @@ def test_partial_checkpoint_resume(tmp_path):
 
 def test_emit_runs_carry_shard_failures(tmp_path, monkeypatch):
     import grimmsmooth.cli as cli
+    from grimmsmooth import GrimmRunReport, RepresentationResult
 
-    def fake_shard(bounds, table):
-        return {
-            "runs": 10,
-            "max_k": 5,
-            "max_k_p": 23,
-            "failures": ["23,5,not_representable,1;2;3"],
-        }
-
-    monkeypatch.setattr(cli, "_verify_shard", fake_shard)
+    failure = GrimmRunReport(23, 5, RepresentationResult(False, hall_witness=frozenset({1, 2, 3})))
+    monkeypatch.setattr(cli, "verify_grimm_summary", fake_verify(failure, 10, 5, 23))
     code, out = invoke(["verify-grimm", "--limit", "40", "--emit-runs"], tmp_path)
     assert code == 1
     lines = out.splitlines()
@@ -602,7 +630,7 @@ def test_bad_env_values_exit_2(tmp_path, monkeypatch, capsys):
     ):
         with monkeypatch.context() as m:
             m.setenv(var, value)
-            code, out = invoke(["g", "--n", "100"], tmp_path)
+            code, out = invoke(["gap-scan", "--limit", "100"], tmp_path)
         assert (code, out) == (2, ""), (var, value)
         assert var in capsys.readouterr().err
 
@@ -749,3 +777,27 @@ def test_shard_driver_streams(monkeypatch):
         assert next(shards) == ((5, 8), "t")
         assert next(shards) == ((8, 11), "t")
         shards.close()
+
+
+def test_perfbench_hooks_into_cli_resolve(monkeypatch):
+    # the benchmark wraps cli functions by name and clears two environment
+    # variables by cli's constants: a rename here would crash it or quietly
+    # zero its shard spans
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import grimmsmooth.cli as cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    owned = [s for s in spans.LAYER_SPANS if s.owner == "cli"]
+    assert {s.attr for s in owned} >= {"run", "_verify_shard", "_scan_shard"}
+    for span in owned:
+        assert callable(getattr(cli, span.attr, None)), span.name
+    assert (cli.ENV_TABLE_LIMIT, cli.ENV_WORKERS) == (
+        "GRIMMSMOOTH_TABLE_LIMIT", "GRIMMSMOOTH_WORKERS",
+    )

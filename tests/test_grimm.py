@@ -1,4 +1,6 @@
+import json
 import random
+from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -349,12 +351,37 @@ def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):
     assert a.failures + b.failures == expected
 
 
-def test_verify_sharding_stitches(table_1e5):
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 100_000), max_size=6))
+@example([40_000])
+@example([2, 2, 100_000])  # empty shards at both ends
+def test_verify_sharding_stitches(table_1e5, cuts):
+    # the summaries of any split of (2, 1e5], each through the checkpoint's
+    # JSON and merged in order, are the whole range's
+    bounds = [2, *sorted(cuts), 100_000]
+    parts = [
+        VerifySummary.from_json(json.loads(json.dumps(
+            verify_grimm_summary(b, table_1e5, lo=a).to_json()
+        )))
+        for a, b in zip(bounds, bounds[1:])
+    ]
     whole = verify_grimm_summary(100_000, table_1e5)
-    a = verify_grimm_summary(40_000, table_1e5)
-    b = verify_grimm_summary(100_000, table_1e5, lo=40_000)
-    assert a.runs + b.runs == whole.runs
-    assert a.failures + b.failures == whole.failures == ()
+    assert reduce(VerifySummary.merge, parts) == whole
+    assert sum(p.runs for p in parts) == whole.runs
+
+
+def test_verify_summary_merge_keeps_failures_and_order(table_1e4):
+    res = has_representation(2, 4, table_1e4)
+    first = VerifySummary(2, 3, 1, (GrimmRunReport(2, 4, res),), 4, 2)
+    later = VerifySummary(3, 5, 1, (GrimmRunReport(3, 4, res),), 4, 3)
+    # a failure keeps its Hall witness through the JSON round trip
+    assert VerifySummary.from_json(json.loads(json.dumps(first.to_json()))) == first
+    # failures join in order, and of two equal longest runs the first stays
+    merged = first.merge(later)
+    assert (merged.lo, merged.hi, merged.runs) == (2, 5, 2)
+    assert (merged.failures, merged.max_k_p) == (first.failures + later.failures, 2)
+    with pytest.raises(ValueError, match="adjacent"):
+        later.merge(first)
 
 
 def test_verify_runs_cover_every_composite(table_1e4):

@@ -1,13 +1,16 @@
 import bisect
+import json
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grimmsmooth import (
+    GapRecord,
     GapScanSummary,
     TableLimitError,
     build_table,
@@ -249,13 +252,32 @@ def test_gap_check_matches_stream():
     assert len(s.violations) == 0
 
 
-def test_gap_check_range_split():
-    # sharded scans stitch to the same totals as one scan
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 10**6), max_size=6))
+@example([500_000])
+@example([2, 2, 10**6])  # empty shards at both ends
+def test_gap_check_range_split(cuts):
+    # the summaries of any split of (2, 1e6], each through the checkpoint's
+    # JSON and merged in order, are the whole range's
+    bounds = [2, *sorted(cuts), 10**6]
+    parts = [
+        GapScanSummary.from_json(json.loads(json.dumps(gap_check(b, lo=a).to_json())))
+        for a, b in zip(bounds, bounds[1:])
+    ]
     whole = gap_check(10**6)
-    a = gap_check(500_000)
-    b = gap_check(10**6, lo=500_000)
-    assert a.pairs + b.pairs == whole.pairs
-    assert max(a.max_gap, b.max_gap) == whole.max_gap
+    assert reduce(GapScanSummary.merge, parts) == whole
+    assert sum(p.pairs for p in parts) == whole.pairs
+
+
+def test_gap_summary_merge_keeps_violations_and_order():
+    first = GapScanSummary(10, 3, (GapRecord(7, 11, 4, 1 + math.log(7) ** 2),), 4, 7)
+    later = GapScanSummary(20, 4, (GapRecord(13, 17, 4, 1 + math.log(13) ** 2),), 4, 13)
+    # a violation's float bound survives the JSON round trip exactly
+    assert GapScanSummary.from_json(json.loads(json.dumps(first.to_json()))) == first
+    # violations join in order, and of two equal largest gaps the first stays
+    assert first.merge(later) == GapScanSummary(
+        20, 7, first.violations + later.violations, 4, 7
+    )
 
 
 def test_dusart_examples():

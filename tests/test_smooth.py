@@ -2,6 +2,7 @@ import io
 import math
 import sys
 from dataclasses import asdict
+from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import grimmsmooth.smooth as smooth
 from grimmsmooth import (
+    ExceptionalScanReport,
     TableLimitError,
     build_rho_table,
     build_table,
@@ -266,6 +268,28 @@ def test_psi_window_matches_oracle_across_y(table_1e5, x, z):
         assert got == (len(want), min(want, default=None), max(want, default=None)), y
 
 
+def test_psi_window_ends_within_int64(table_1e5):
+    # the largest window accepted, against trial division by the primes <= y
+    ps = trial_primes(10**5)
+
+    def smooth_by_trial(v):
+        for p in ps:
+            while v % p == 0:
+                v //= p
+        return v == 1
+
+    z = 400
+    x = smooth.WINDOW_MAX_END - z
+    want = [v for v in range(x + 1, x + z + 1) if smooth_by_trial(v)]
+    rep = psi_window(x, z, 1e5, table_1e5)
+    assert (rep.count, rep.smooth_head, rep.smooth_tail) == (len(want), want[0], want[-1])
+    # one step further the int64 sieve would wrap: (2^63 - 100, 2^63 + 300]
+    # holds 5 smooth values, and the sieve found 4
+    for x, z in ((x + 1, z), (2**63 - 100, 400), (10**20, 1000)):
+        with pytest.raises(ValueError, match="2\\^63"):
+            psi_window(x, z, 1e5, table_1e5)
+
+
 @pytest.mark.parametrize("x,z", [(0, 40), (1000, 300), (20_000, 3_000)])
 def test_psi_window_pi_y_on_both_sides_of_x_plus_z(monkeypatch, x, z):
     # floor(y) <= x + z: pi(y) is read off the window's own table, and
@@ -329,16 +353,24 @@ def test_exceptional_scan_default_c0(table_1e4):
     assert rep.sampled == len(range(1, 501, 7))
 
 
-def test_exceptional_scan_start_splits_the_range(table_1e4):
-    # n = 1, 4, 7, ... <= 3000 split at the sample n = 1501: counts add up
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1000), max_size=6))
+@example([500])  # the sample n = 1501
+@example([0, 0, 1000])  # empty parts at both ends
+def test_exceptional_scan_start_splits_the_range(table_1e4, cuts):
+    # n = 1, 4, 7, ... <= 3000 split before any samples: the parts' reports,
+    # merged in order, are the whole scan's
     whole = exceptional_scan(3000, 0.4, table_1e4, c0=0.2, stride=3)
-    head = exceptional_scan(1500, 0.4, table_1e4, c0=0.2, stride=3)
-    tail = exceptional_scan(3000, 0.4, table_1e4, c0=0.2, stride=3, start=1501)
-    for field in ("sampled", "degenerate", "evaluated", "failures"):
-        assert getattr(whole, field) == getattr(head, field) + getattr(tail, field)
-    assert tail.sampled == len(range(1501, 3001, 3))
-    assert whole.first_failures == (head.first_failures + tail.first_failures)[:20]
-    assert tail.failures > 0
+    starts = [1 + 3 * i for i in [0, *sorted(cuts)]] + [3001]
+    parts = [
+        exceptional_scan(b - 1, 0.4, table_1e4, c0=0.2, stride=3, start=a)
+        for a, b in zip(starts, starts[1:])
+    ]
+    assert reduce(ExceptionalScanReport.merge, parts) == whole
+    assert sum(p.sampled for p in parts) == whole.sampled == 1000
+    assert whole.failures > len(whole.first_failures) == 20
+    with pytest.raises(ValueError, match="stride"):
+        whole.merge(exceptional_scan(3000, 0.4, table_1e4, c0=0.2, stride=4))
 
 
 def test_scan_validation(table_1e4):
