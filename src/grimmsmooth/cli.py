@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -34,6 +33,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
+from types import SimpleNamespace
 
 from . import __version__
 from . import exponents as expo
@@ -729,12 +729,16 @@ def replay_manifest(path: str, stdout=None) -> tuple[int, str]:
         else:
             argv.extend([flag, str(v)])
     argv.extend(["--manifest", "-"])
-    buf = io.StringIO()
-    code = run(argv, stdout=buf)
-    payload = buf.getvalue()
-    if stdout is not None:
-        stdout.write(payload)
-    return code, hashlib.sha256(payload.encode()).hexdigest()
+    # each piece run writes is hashed and forwarded, never kept, as in run
+    digest = hashlib.sha256()
+
+    def write(piece: str) -> None:
+        digest.update(piece.encode())
+        if stdout is not None:
+            stdout.write(piece)
+
+    code = run(argv, stdout=SimpleNamespace(write=write))
+    return code, digest.hexdigest()
 
 
 def main() -> None:

@@ -10,9 +10,10 @@ below a bound, the test every smooth count reads.
 The method is one prime-power sieve (:func:`_sieve`) that splits the
 sieving primes by how often they hit the block of ``count`` values.  A dense
 prime p <= count // ``_DENSE_HITS`` gets strided views: for every power
-q = p^j <= hi it multiplies ``smooth[(-lo) % q :: q]`` by p, so each element
-picks up its p-part, and it stores ``p`` into ``lpf[(-lo) % p :: p]`` in
-ascending p, so the largest dividing prime is the one left standing.
+q = p^j with a multiple in the block it multiplies ``smooth[(-lo) % q :: q]``
+by p, so each element picks up its p-part, and it stores ``p`` into
+``lpf[(-lo) % p :: p]`` in ascending p, so the largest dividing prime is the
+one left standing.
 A sparse prime hits at most about ``_DENSE_HITS`` elements, where a numpy
 call per prime and per power would cost more than it sieves, so all sparse
 primes share one hit list of (row, prime) pairs built with ``np.repeat``
@@ -112,9 +113,11 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
     for p in primes[:dense].tolist():
         if with_lpf:
             lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
+        # no multiple of q in the block means none of q p: a power past hi
+        # has none, and in a short block the loop stops well before hi
         q = p
-        while q <= hi:
-            smooth[-lo % q :: q] *= p
+        while (first := -lo % q) < count:
+            smooth[first::q] *= p
             q *= p
     if dense < len(primes):
         rows, ps = _hits(lo, count, primes[dense:])

@@ -301,3 +301,19 @@ def exceptional_scan_reference(
         "failure_fraction": failures / evaluated if evaluated else 0.0,
         "first_failures": tuple(first),
     }
+
+
+def rho_grid_loop(nodes_per_unit: int, n_nodes: int) -> np.ndarray:
+    """Dickman's rho on the grid i / m, 0 <= i <= n_nodes, by the trapezoid
+    recurrence, one node per Python step: the reference that the vectorised
+    ``dickman._integrate`` must equal bit for bit."""
+    m = nodes_per_unit
+    vals = np.ones(n_nodes + 1)
+    h = 1.0 / m
+    for i in range(m, n_nodes):
+        t_i = i * h
+        t_n = (i + 1) * h
+        f_i = vals[i - m] / t_i
+        f_n = vals[i + 1 - m] / t_n
+        vals[i + 1] = vals[i] - 0.5 * h * (f_i + f_n)
+    return vals

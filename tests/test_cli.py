@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import tracemalloc
 from math import isqrt
 
 import grimmsmooth
@@ -446,6 +448,29 @@ def test_manifest_written_and_replayable(tmp_path):
     code2, digest2 = replay_manifest(str(mpath))
     assert code2 == 0
     assert digest2 == data["result_digest"]
+
+
+def test_replay_streams_its_output(tmp_path):
+    # a replay hashes each piece as run does, so it holds no more of the
+    # output than run into a discarding stdout (about 3.5 MB of JSON here)
+    mpath = tmp_path / "emit.manifest.json"
+    argv = ["verify-grimm", "--limit", "1000000", "--emit-runs", "--format", "json",
+            "--workers", "1", "--manifest", str(mpath)]
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with open(os.devnull, "w") as sink:
+        code, run_peak = peak(lambda: run(argv, stdout=sink))
+    assert code == 0
+    (code, digest), replay_peak = peak(lambda: replay_manifest(str(mpath)))
+    assert (code, digest) == (0, json.loads(mpath.read_text())["result_digest"])
+    assert replay_peak <= run_peak + 2**20, (replay_peak, run_peak)
 
 
 def test_manifest_records_peak_rss(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from grimmsmooth import build_rho_table, dickman, rho
+from grimmsmooth.smooth import scan_c0
+from oracles import rho_grid_loop
 
 
 def test_flat_part_and_range():
@@ -101,3 +103,17 @@ def test_interpolation_between_nodes():
     # midpoints on [1,2] still meet the analytic target
     for x in (1.0005, 1.2345678, 1.9998765):
         assert abs(rho(x, t) - (1 - math.log(x))) < 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 1000, 2000])
+def test_unit_steps_equal_the_node_loop(m):
+    # n = m takes no step, m + 1 and 3m + 7 end in a partial unit, 2m - 1 is
+    # one partial unit and 5m whole units only: every node is the same double
+    for n in (m, m + 1, 2 * m - 1, 3 * m + 7, 5 * m):
+        assert np.array_equal(dickman._integrate(m, n), rho_grid_loop(m, n)), n
+
+
+def test_scan_c0_pinned():
+    # the default c0 of `exceptional-scan --eps 0.3`, whose output prints it
+    # by repr: rho(1/0.3) / 2 off the table to t_max = 5
+    assert scan_c0(0.3, 4, None) == 0.011825075096236447

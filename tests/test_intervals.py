@@ -216,6 +216,10 @@ def test_factor_range_matches_trial_division_property(table_1e4, window):
 @given(windows(), st.integers(0, 1100))
 @example((2**20 - 300, 2**20), 1024)
 @example((3**12 - 300, 3**12), 3)
+# windows that start at a high power: its one multiple in the block must
+# still take its p-part (the power loop stops only at a power with none)
+@example((2**20, 2**20 + 300), 1024)
+@example((3**12, 3**12 + 300), 3)
 def test_bound_smooth_matches_trial_division_property(table_1e4, window, bound):
     lo, hi = window
     flags = smooth_flags(lo, hi, bound, table_1e4)
