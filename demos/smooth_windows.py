@@ -48,9 +48,9 @@ print(f"\nwindow ({x}, {x + z}] with y={y}: {report.count} smooth numbers "
 bound = grimm_upper_bound(x, float(y), z, table)
 if bound is not None:
     exact = g(x, table)
-    print(f"criterion fires: g({x}) < {bound.bound} certified "
-          f"(first/last smooth: {bound.first_smooth}, {bound.last_smooth})")
-    print(f"exact g({x}) = {exact}  -> bound honest: {exact < bound.bound}")
+    print(f"criterion fires: g({x}) < {bound.z} certified "
+          f"(first/last smooth: {bound.smooth_head}, {bound.smooth_tail})")
+    print(f"exact g({x}) = {exact}  -> bound honest: {exact < bound.z}")
 else:
     print("criterion did not fire at these parameters")
 
@@ -59,4 +59,4 @@ x = 10**8
 y = z = int(x**0.455)
 b = grimm_upper_bound(x, x**0.455, z, table)
 print(f"\nat x=1e8 with y=z=x^0.455: established={b is not None}"
-      + (f", so g(1e8) < {b.bound}" if b else ""))
+      + (f", so g(1e8) < {b.z}" if b else ""))

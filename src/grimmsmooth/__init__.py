@@ -42,7 +42,6 @@ from .primes import (
 )
 from .smooth import (
     ExceptionalScanReport,
-    GrimmUpperBound,
     SmoothWindowReport,
     exceptional_scan,
     grimm_upper_bound,
@@ -71,7 +70,6 @@ __all__ = [
     "GapRecord",
     "GapScanSummary",
     "GrimmRunReport",
-    "GrimmUpperBound",
     "PrimeTable",
     "RamSumResult",
     "RepresentationResult",

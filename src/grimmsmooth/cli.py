@@ -52,7 +52,7 @@ from .smooth import (
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
-# no longer read by the CLI; perfbench still clears it before its runs
+# nothing reads these variables; perfbench still clears them before its runs
 ENV_TABLE_LIMIT = "GRIMMSMOOTH_TABLE_LIMIT"
 ENV_WORKERS = "GRIMMSMOOTH_WORKERS"
 
@@ -108,36 +108,16 @@ def _emit(rows, fmt: str):
         yield head + "".join(",".join(_fmt(r.get(c)) for c in cols) + "\n" for r in batch)
 
 
-def _get_table(required: int, args) -> PrimeTable:
-    """The prime table to ``required``, the bound the command's arguments
-    set; the manifest records its limit (``args.table_limit_used``)."""
+def _get_table(required: int, args, flag: str) -> PrimeTable:
+    """The prime table to ``required``, the bound that ``flag`` sets; the
+    manifest records its limit (``args.table_limit_used``).  A bound past
+    ``MAX_LIMIT`` is refused, naming the flag, before anything is built."""
+    if required > MAX_LIMIT:
+        raise ValueError(
+            f"{flag} needs a prime table to {required}, past its limit {MAX_LIMIT}"
+        )
     args.table_limit_used = max(2, required)
     return PrimeTable(args.table_limit_used)
-
-
-def _env_int(name: str) -> int | None:
-    text = os.environ.get(name)
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-
-
-def _resolve_env(args) -> None:
-    """Read the environment defaults once, onto ``args``: a sharded
-    command's worker count is ``--workers``, else ``GRIMMSMOOTH_WORKERS``,
-    else the CPU count; every other command has one."""
-    workers = getattr(args, "workers", 1)
-    if workers is None:
-        workers = _env_int(ENV_WORKERS)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        elif workers < 1:
-            raise ValueError(f"{ENV_WORKERS} must be positive, got {workers}")
-    args.worker_count = workers
-    args.table_limit_used = None
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +222,17 @@ def _scan_shard(bounds, table, eps, c0, stride):
 
 
 def _h_g(args):
-    table = _get_table(search_table_limit(args.n), args)
+    table = _get_table(search_table_limit(args.n), args, "--n")
     return [{"n": args.n, "g": g(args.n, table)}], 0
 
 
 def _h_g1(args):
-    table = _get_table(search_table_limit(args.n), args)
+    table = _get_table(search_table_limit(args.n), args, "--n")
     return [{"n": args.n, "g1": g1(args.n, table)}], 0
 
 
 def _h_represent(args):
-    table = _get_table(isqrt(args.n + args.k) + 1, args)
+    table = _get_table(isqrt(args.n + args.k) + 1, args, "--n plus --k")
     res = has_representation(args.n, args.k, table)
     if res.representable:
         cert = ";".join(str(p) for p in res.assignment)
@@ -282,7 +262,7 @@ def _run_rows(limit, witness):
 
 
 def _h_verify_grimm(args):
-    table = _get_table(isqrt(args.limit) + 1, args)
+    table = _get_table(isqrt(args.limit) + 1, args, "--limit")
     meta = {"limit": args.limit}
     shards = _shards(args, 2, args.limit, SHARD_SPAN, _verify_shard, table, meta)
     s = reduce(
@@ -361,7 +341,7 @@ def _h_psi(args):
         table, span = None, max(x, 1)  # x = 0 has no shard
         meta["regime"] = "primes"
     else:
-        table, span = _get_table(bound, args), SHARD_SPAN
+        table, span = _get_table(bound, args, "--y"), SHARD_SPAN
     shares = _shards(args, 0, x, span, lambda ab, t: psi_part(x, y, *ab, t), table, meta)
     return [{"x": x, "y": y, "psi": sum(shares)}], 0
 
@@ -380,7 +360,7 @@ def _window_table(args) -> PrimeTable:
             f"--y must be below {(PI_TABLE_MAX_ROOT + 1) ** 2}, the pi table's "
             f"bound; got {args.y}"
         )
-    return _get_table(window_table_limit(args.x, args.z, args.y), args)
+    return _get_table(window_table_limit(args.x, args.z, args.y), args, "--y")
 
 
 def _h_psi_window(args):
@@ -395,11 +375,11 @@ def _h_grimm_bound(args):
         "y": args.y,
         "z": args.z,
         "established": b is not None,
-        "bound": b.bound if b else None,
+        "bound": b.z if b else None,
         "count": b.count if b else None,
         "pi_y": b.pi_y if b else None,
-        "first_smooth": b.first_smooth if b else None,
-        "last_smooth": b.last_smooth if b else None,
+        "first_smooth": b.smooth_head if b else None,
+        "last_smooth": b.smooth_tail if b else None,
     }
     return [row], 0
 
@@ -428,7 +408,7 @@ def _h_rho(args):
 
 def _h_exceptional_scan(args):
     c0 = scan_c0(args.eps, args.stride, args.c0)
-    table = _get_table(int(args.x_max**args.eps) + 2, args)
+    table = _get_table(int(args.x_max**args.eps) + 2, args, "--x-max")
 
     def shard(bounds, table):
         return _scan_shard(bounds, table, args.eps, c0, args.stride)
@@ -444,7 +424,7 @@ def _h_exceptional_scan(args):
 
 def _h_ram_sum(args):
     w = window_exponent_floor(args.x, args.alpha)
-    table = _get_table(isqrt(args.x + w) + 1, args)
+    table = _get_table(isqrt(args.x + w) + 1, args, "--x")
     res = ram_sum(args.x, args.alpha, table, delta_target=args.delta_target)
     row = asdict(res)
     del row["window"]  # not a column of the printed row
@@ -677,14 +657,21 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
     t0 = time.perf_counter()
     out = stdout if stdout is not None else sys.stdout
     digest = hashlib.sha256()
+    # a sharded command's worker count is --workers, else the CPU count;
+    # every other command has one
+    workers = getattr(args, "workers", 1)
+    args.worker_count = workers if workers is not None else os.cpu_count() or 1
+    args.table_limit_used = None
     try:
-        _resolve_env(args)
         rows, flag = args.handler(args)
         for piece in _emit(rows, args.format):
             out.write(piece)
             digest.update(piece.encode())
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a resource limit, not a counterexample
+        print(f"error: out of memory. {e}".rstrip(), file=sys.stderr)
         return 2
 
     manifest = RunManifest(

@@ -24,18 +24,18 @@ still divisible, one pass per power.  A block with no sparse prime takes
 the strided views alone, as every full 2^20-value block of psi with
 y <= 23,301 does, and then the narrowest integer types that hold ``smooth``
 and ``lpf``.  One integer division ``values // smooth`` leaves the residual
-cofactor; :func:`smooth_lpf` and :func:`smooth_count` need none, since a
+cofactor; :func:`smooth_lpf` and :func:`_bound_smooth` need none, since a
 value is smooth over the sieving primes exactly when ``smooth`` equals it.
 That is how verify finds the elements that can share a largest prime factor
 in a run (it sieves each 2^21-value block with the primes below the block's
 longest run only, and :func:`smooth_lpf` walks the block in pieces of
 ``_PIECE`` values, each sieved on its own so that the sieve's arrays stay in
-cache), how psi counts the y-smooth values of a block when y < sqrt(x), and
-how the short windows of ``smooth.psi_window`` and the exceptional scan are
-counted, whatever their size: a bound above sqrt(hi) only sends more primes
-to the hit list.  For :func:`prime_rows` and :func:`lpf_range` the bound is
-sqrt(hi), and a residual r > 1 is then necessarily prime (it has no factor
-<= sqrt(hi) left) and is the element's largest prime factor.
+cache), and how ``smooth.psi_window`` (psi's blocks when y < sqrt(x) and
+the short windows alike) and the exceptional scan count the y-smooth values
+of a range, whatever its size: a bound above sqrt(hi) only sends more
+primes to the hit list.  For :func:`prime_rows` and :func:`lpf_range` the
+bound is sqrt(hi), and a residual r > 1 is then necessarily prime (it has
+no factor <= sqrt(hi) left) and is the element's largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
 primes per element is kept.
 """
@@ -207,16 +207,3 @@ def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
         rows = np.flatnonzero(flags)
         yield rows + (start - lo), lpf[rows]
         start = end + 1
-
-
-def smooth_count(lo: int, hi: int, bound: int, table: PrimeTable) -> int:
-    """How many values in lo..hi (lo >= 1) have all their prime factors at
-    or below ``bound``: the test of :func:`smooth_lpf`, without the lpf.
-
-    The range is sieved whole: psi sieves with every prime up to y (168 at
-    y = 1000), and in 2^17-value pieces the numpy calls per prime and piece
-    cost more than the cache saved (psi(1e8, 1000) took 1.02-1.11 s in
-    pieces against 0.94-1.06 s whole).
-    """
-    return int(np.count_nonzero(_bound_smooth(lo, hi, bound, table, False)[0]))
-

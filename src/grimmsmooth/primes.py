@@ -2,10 +2,10 @@
 
 :func:`segments` is the package's one primality sieve: an odd-only
 Eratosthenes sieve that walks [lo, hi] in chunks of ``_CHUNK_ODDS`` odd
-numbers, crossing off multiples of the base primes <= sqrt(hi), and yields
-each chunk's primes as an ascending int64 array.  Its memory is one chunk,
-whatever the range, so the scans read it directly, one shard at a time, and
-need no table:
+numbers, crossing off multiples of the base primes <= sqrt(hi), which it
+lists by walking [3, sqrt(hi)] the same way, and yields each chunk's primes
+as an ascending int64 array.  Its memory is one chunk, whatever the range,
+so the scans read it directly, one shard at a time, and need no table:
 
 * :func:`bounding_primes` -- the consecutive primes around the gaps that
   close in (lo, hi], opened by the largest prime <= lo, which it finds by
@@ -68,26 +68,18 @@ class TableLimitError(ValueError):
         self.required = required
 
 
-def _small_odd_primes(limit: int) -> list[int]:
-    """Odd primes <= limit by a plain dense sieve (used for base primes)."""
-    if limit < 3:
-        return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return (np.flatnonzero(sieve)[1:]).tolist()  # drop 2
-
-
 def _odd_flags(o_lo: int, o_hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(o, flags)`` per chunk of the odd indices o_lo <= i < o_hi:
     ``flags[j]`` is True iff the odd number 2(o + j) + 1 is prime.  Every
     chunk is sieved in the same buffer, so ``flags`` holds only until the
-    next chunk is asked for."""
+    next chunk is asked for.
+
+    The base primes, the odd primes <= sqrt(2 o_hi - 1), come from
+    :func:`segments` itself; below 9 it needs none, which ends the
+    recursion."""
     if o_hi <= o_lo:
         return
-    base = _small_odd_primes(isqrt(2 * o_hi - 1))
+    base = [p for ps in segments(3, isqrt(2 * o_hi - 1)) for p in ps.tolist()]
     buf = np.empty(min(_CHUNK_ODDS, o_hi - o_lo), dtype=bool)
     for o in range(o_lo, o_hi, _CHUNK_ODDS):
         size = min(_CHUNK_ODDS, o_hi - o)
@@ -426,36 +418,23 @@ def check_dusart(limit: int) -> DusartReport:
 
     pi_base = 0
     theta_base = 0.0
-    block = 1 << 20
-    # one sieve walk: each chunk of primes is taken up by the blocks it
-    # spans, and theta sums them block by block
-    chunks = segments(2, limit)
-    ahead = np.empty(0, dtype=np.int64)  # primes not yet in a block
-    for lo in range(2, limit + 1, block):
-        hi = min(lo + block - 1, limit)
-        while not len(ahead) or ahead[-1] < hi:
-            chunk = next(chunks, None)
-            if chunk is None:
-                break
-            ahead = np.concatenate([ahead, chunk])
-        k = int(np.searchsorted(ahead, hi, side="right"))
-        pr, ahead = ahead[:k], ahead[k:]
+    # one sieve walk, chunk by chunk; theta is one running sum in prime
+    # order, so every theta(p) is the same double however the walk is cut
+    for pr in segments(2, limit):
+        if not (k := len(pr)):  # a last chunk may hold no prime
+            continue
         pis = pi_base + np.arange(1, k + 1, dtype=np.int64)
         pi_base += k
         five = int(np.searchsorted(pr, 5))
         check_pi(pr[five:], pis[five:])
 
-        if k:
-            pvals = pr.astype(np.float64)
-            thetas = theta_base + np.cumsum(np.log(pvals))
-            theta_base = float(thetas[-1])
-            tslack = 1.00008 * pvals - thetas
-            th_checked += k
-            m = float(tslack.min())
-            if m < th_slack:
-                th_slack = m
-            for i in np.flatnonzero(tslack < 0):
-                th_bad.append(int(pvals[i]))
+        pvals = pr.astype(np.float64)
+        thetas = np.add.accumulate(np.concatenate([[theta_base], np.log(pvals)]))[1:]
+        theta_base = float(thetas[-1])
+        tslack = 1.00008 * pvals - thetas
+        th_checked += k
+        th_slack = min(th_slack, float(tslack.min()))
+        th_bad.extend(pr[tslack < 0].tolist())
 
     return DusartReport(
         limit=limit,

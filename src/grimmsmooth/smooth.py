@@ -2,12 +2,14 @@
 for g.
 
 Psi(x, y) counts the positive integers <= x all of whose prime factors are
-<= y (1 counts: the condition is vacuous).  Window counts
-Psi(x+z, y) - Psi(x, y) are computed directly on the window by one prime-power
-sieve with every prime up to min(floor(y), x+z): an element is y-smooth
-exactly when the product of the prime powers it picked up equals it
-(``intervals._bound_smooth``), on either side of sqrt(x+z), and the unit
-is smooth for every y, y < 1 included, where no prime sieves at all.
+<= y (1 counts: the condition is vacuous).  The package has one count of
+the y-smooth values in a range, :func:`psi_window`: the window count
+Psi(x+z, y) - Psi(x, y) is computed directly on the window, ``_BLOCK``
+values at a time, by one prime-power sieve with every prime up to
+min(floor(y), x+z): an element is y-smooth exactly when the product of the
+prime powers it picked up equals it (``intervals._bound_smooth``), on
+either side of sqrt(x+z), and the unit is smooth for every y, y < 1
+included, where no prime sieves at all.
 (:func:`psi_window` needs a table to min(floor(y), x+z) only.  It reads
 pi(y) off that table when floor(y) <= x+z, and counts it with
 :func:`primes.prime_pi` otherwise, so its y is bounded by the pi table's
@@ -24,9 +26,9 @@ between Python ints:
   O(x^(3/4) / log x) for the table of x (0.05 s at x = 1e10), plus the
   smaller tables for pi(max(a, floor(y))) and, for a part (a, b] with
   b < x, for pi(b);
-* in the sieve regime (floor(y) < isqrt(x)) a value is y-smooth iff the
-  product of its prime powers <= y equals it (:func:`intervals.smooth_count`),
-  so each block is sieved with the primes <= y and nothing is divided.
+* in the sieve regime (floor(y) < isqrt(x)) the count is the window count
+  of :func:`psi_window`, so each block is sieved with the primes <= y and
+  nothing is divided.
 
 :func:`psi_part` is the share of a range (a, b] of (0, x] in Psi(x, y): in
 the prime regime (b - a) minus floor(x/p) for the primes p > y in (a, b],
@@ -66,7 +68,7 @@ from math import isqrt
 import numpy as np
 
 from .dickman import build_rho_table, rho
-from .intervals import _bound_smooth, smooth_count
+from .intervals import _bound_smooth
 from .primes import PrimeTable, TableLimitError, pi_table, prime_pi
 
 # Largest x for psi: the sieve arrays hold the values themselves as int64.
@@ -94,27 +96,6 @@ class SmoothWindowReport:
     bound_established: bool  # count > pi_y
     smooth_head: int | None  # smallest smooth element found
     smooth_tail: int | None  # largest smooth element found
-
-
-@dataclass(frozen=True)
-class GrimmUpperBound:
-    """Certified assertion g(x) < z from an overfull smooth window.
-
-    ``first_smooth``/``last_smooth`` are the extreme smooth elements of
-    (x, x+z]; together with count > pi_y they are the whole certificate.
-    """
-
-    x: int
-    z: int
-    y: float
-    count: int
-    pi_y: int
-    first_smooth: int
-    last_smooth: int
-
-    @property
-    def bound(self) -> int:
-        return self.z
 
 
 @dataclass(frozen=True)
@@ -182,8 +163,9 @@ def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
     floor(x/p) for every prime p in (max(a, floor(y)), b], counted from pi
     tables by :func:`_prime_multiples`; ``table`` is not read, and
     isqrt(x) must not exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24 unless
-    floor(y) >= b.  Otherwise it is the number of y-smooth n in (a, b], and
-    the table must reach floor(y).
+    floor(y) >= b.  Otherwise it is the number of y-smooth n in (a, b],
+    :func:`psi_window`'s count of the window (a, b], and the table must
+    reach floor(y).
     """
     x, a, b = int(x), int(a), int(b)
     if not 0 <= a <= b <= x <= PSI_MAX_X:
@@ -200,10 +182,7 @@ def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
             f"have {table.limit if table else None}",
             required=bound,
         )
-    return sum(
-        smooth_count(lo, min(lo + _BLOCK - 1, b), bound, table)
-        for lo in range(a + 1, b + 1, _BLOCK)
-    )
+    return psi_window(a, b - a, y, table).count if b > a else 0
 
 
 def psi(x: int, y: float, table: PrimeTable | None) -> int:
@@ -247,12 +226,18 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     bound = min(fy, x + z)
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
-        smooth = np.flatnonzero(_bound_smooth(lo, hi, bound, table, False)[0])
-        if len(smooth):
-            count += len(smooth)
+        # a block is sieved whole: psi sieves with every prime up to y (168
+        # at y = 1000), and in intervals._PIECE-value pieces the numpy calls
+        # per prime and piece cost more than the cache saved (psi(1e8, 1000)
+        # took 1.02-1.11 s in pieces against 0.94-1.06 s whole)
+        flags = _bound_smooth(lo, hi, bound, table, False)[0]
+        # the ends come from argmax on the flags and on their reverse, so no
+        # index array is built
+        if n := int(np.count_nonzero(flags)):
+            count += n
             if head is None:
-                head = lo + int(smooth[0])
-            tail = lo + int(smooth[-1])
+                head = lo + int(np.argmax(flags))
+            tail = hi - int(np.argmax(flags[::-1]))
     return SmoothWindowReport(
         x=x, z=z, y=float(y), count=count, pi_y=pi_y,
         bound_established=count > pi_y, smooth_head=head, smooth_tail=tail,
@@ -261,22 +246,18 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
 
 def grimm_upper_bound(
     x: int, y: float, z: int, table: PrimeTable
-) -> GrimmUpperBound | None:
+) -> SmoothWindowReport | None:
     """g(x) < z, certified, when (x, x+z] holds more than pi(y) smooth numbers.
 
     The window then contains count > pi(y) offsets whose every prime factor
     is <= y; any distinct-prime assignment would need that many distinct
-    primes <= y, which do not exist.  Returns None when the criterion is not
-    met (which does not decide anything).
+    primes <= y, which do not exist.  Returns the overfull window's report,
+    whose ``z`` is the bound and whose ``smooth_head`` and ``smooth_tail``
+    are its extreme smooth elements, or None when the criterion is not met
+    (which does not decide anything).
     """
     report = psi_window(x, z, y, table)
-    if not report.bound_established:
-        return None
-    return GrimmUpperBound(
-        x=report.x, z=report.z, y=report.y, count=report.count,
-        pi_y=report.pi_y, first_smooth=report.smooth_head,
-        last_smooth=report.smooth_tail,
-    )
+    return report if report.bound_established else None
 
 
 def scan_c0(eps: float, stride: int, c0: float | None) -> float:

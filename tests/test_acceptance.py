@@ -135,8 +135,8 @@ def test_criterion_06_window_bound_soundness(table_1e5):
             continue
         checked += 1
         exact = g(x, table_1e5)
-        if not exact < b.bound:
-            violations.append((x, exact, b.bound))
+        if not exact < b.z:
+            violations.append((x, exact, b.z))
     ok = checked == 100 and not violations
     _report(
         6,

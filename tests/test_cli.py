@@ -295,6 +295,13 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
          "--checkpoint"),
         # the table is sized by the arguments alone; the flag is gone
         (["verify-grimm", "--limit", "100", "--table-limit", "100"], "--table-limit"),
+        # a table past 2^31 is refused, naming the flag that sets it
+        (["g", "--n", str(10**20)], "--n"),
+        (["g1", "--n", str(10**22)], "--n"),
+        (["represent", "--n", str(10**22), "--k", "3"], "--n"),
+        (["ram-sum", "--x", str(10**19), "--alpha", "0.5"], "--x"),
+        (["psi-window", "--x", str(10**12), "--z", "600", "--y", "1e10"], "--y"),
+        (["grimm-bound", "--x", str(10**12), "--z", "600", "--y", "1e10"], "--y"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
@@ -548,12 +555,14 @@ def test_env_table_limit_is_not_read(tmp_path, monkeypatch):
 
 
 def test_env_workers_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRIMMSMOOTH_WORKERS", "3")
+    # the variable is not read: without --workers a sharded command uses
+    # the CPU count, and a command that cannot start a pool has one worker
+    monkeypatch.setenv("GRIMMSMOOTH_WORKERS", "abc")
     mpath = tmp_path / "w.manifest.json"
     code, _ = invoke(["gap-scan", "--limit", "1000"], tmp_path, manifest=mpath)
-    assert json.loads(mpath.read_text())["worker_count"] == 3
-    # a command that cannot start a pool neither reads it nor takes --workers
-    monkeypatch.setenv("GRIMMSMOOTH_WORKERS", "abc")
+    data = json.loads(mpath.read_text())
+    assert code == 0 and data["worker_count"] == (os.cpu_count() or 1)
+    assert "workers" not in data["parameters"]
     assert invoke(["g", "--n", "2"], tmp_path, manifest=mpath) == (0, "n,g\n2,3\n")
     data = json.loads(mpath.read_text())
     assert data["worker_count"] == 1 and "workers" not in data["parameters"]
@@ -573,6 +582,22 @@ def test_exit_1_when_a_bound_breaks(tmp_path, monkeypatch):
     code, out = invoke(["dusart-check", "--limit", "100"], tmp_path)
     assert code == 1
     assert out.splitlines()[1].startswith("pi_upper,100,99,1,")
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a window too large for memory (g at n = 4e18 asks numpy for 14.9 GiB)
+    # is a resource error, never the exit 1 of a counterexample; the
+    # allocation is simulated, not made
+    import grimmsmooth.cli as cli
+
+    for err in (MemoryError("Unable to allocate 14.9 GiB"), MemoryError()):
+        def fail(*args, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "g", fail)
+        capsys.readouterr()
+        assert invoke(["g", "--n", "100"], tmp_path) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: out of memory. {err}".rstrip())
 
 
 def fake_verify(failure, runs, max_k, max_k_p):
@@ -645,19 +670,6 @@ def test_torn_checkpoint_resumes(tmp_path):
     ck.write_text(lines[0][:10])
     assert invoke(argv, tmp_path) == full
     assert ck.read_text() == text
-
-
-def test_bad_env_values_exit_2(tmp_path, monkeypatch, capsys):
-    for var, value in (
-        ("GRIMMSMOOTH_WORKERS", "abc"),
-        ("GRIMMSMOOTH_WORKERS", "0"),
-        ("GRIMMSMOOTH_WORKERS", "-3"),
-    ):
-        with monkeypatch.context() as m:
-            m.setenv(var, value)
-            code, out = invoke(["gap-scan", "--limit", "100"], tmp_path)
-        assert (code, out) == (2, ""), (var, value)
-        assert var in capsys.readouterr().err
 
 
 def test_psi_checkpoint_resumes(tmp_path, monkeypatch, capsys):

@@ -305,7 +305,7 @@ def test_dusart_theta_matches_direct_sum():
         (1.2762, 2**20 + 5000),  # the published constant: no violation
         (1.27, 2**20 + 5000),  # a few, around 1627
         (1.25, 2**20 + 5000),  # runs of them, some past the next prime
-        (1.2, 2**20 + 5000),  # tens of thousands, across both blocks
+        (1.2, 2**20 + 5000),  # tens of thousands
         (0.5, 3000),  # nearly every integer
         (-1.0, 3000),  # every integer, from x = 2 on
     ],
@@ -323,6 +323,19 @@ def test_dusart_pi_points_match_every_integer(monkeypatch, c, limit):
     assert rep.pi_points_checked == limit - 1
     assert rep.pi_min_slack == float((bound - pis).min())
     assert rep.pi_violations == tuple(xs[pis >= bound].tolist())
+
+
+def test_dusart_report_is_the_same_however_chunked(monkeypatch):
+    # theta is one running sum in prime order, so its slack is the same
+    # double for any sieve chunk, and equals one cumsum over every prime
+    pvals = np.array(TRIAL_1E4, dtype=np.float64)
+    slack = float((1.00008 * pvals - np.cumsum(np.log(pvals))).min())
+    reports = []
+    for chunk in (8, 64, 1 << 20):
+        monkeypatch.setattr(primes_mod, "_CHUNK_ODDS", chunk)
+        reports.append(check_dusart(10_000))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].theta_min_slack == slack
 
 
 def test_dusart_clean_to_1e6():

@@ -127,12 +127,17 @@ def test_psi_past_the_old_cap(table_1e4):
     assert psi_part(hi, 10, 10**8, hi, table_1e4) == want
 
 
-def test_psi_ranges_add_up(table_1e4):
+def test_psi_ranges_add_up(table_1e4, monkeypatch):
     x = 50_000
     cuts = [0, 1, 2, 200, 223, 224, 1000, 2**14, 2**14 + 1, 33_333, x]
-    for y in (23, 300):  # below and above isqrt(x) = 223
-        parts = [psi_part(x, y, a, b, table_1e4) for a, b in zip(cuts, cuts[1:])]
-        assert sum(parts) == psi(x, y, table_1e4) == psi_buchstab(x, y, PRIMES_1E4)
+    want = {y: psi_buchstab(x, y, PRIMES_1E4) for y in (23, 300)}
+    # block = 64 cuts every sieved share into many psi_window blocks
+    for block in (None, 64):
+        if block is not None:
+            monkeypatch.setattr(smooth, "_BLOCK", block)
+        for y in (23, 300):  # below and above isqrt(x) = 223
+            parts = [psi_part(x, y, a, b, table_1e4) for a, b in zip(cuts, cuts[1:])]
+            assert sum(parts) == psi(x, y, table_1e4) == want[y], (block, y)
 
 
 @settings(max_examples=30, deadline=None)
@@ -257,15 +262,21 @@ def test_both_sieving_regimes(table_1e4):
 
 
 @pytest.mark.parametrize("x,z", [(0, 40), (1000, 300), (20_000, 3_000)])
-def test_psi_window_matches_oracle_across_y(table_1e5, x, z):
-    # y below 1 (the unit alone), from sqrt(x+z) to x+z, and past x+z, where
-    # the window sieves with every prime to x+z and no further
+def test_psi_window_matches_oracle_across_y(table_1e5, monkeypatch, x, z):
+    # y below 1 (the unit alone), 3 and 7 (few smooth values: with block =
+    # 64 the window has blocks without one before, between and after
+    # theirs), from sqrt(x+z) to x+z, and past x+z, where the window sieves
+    # with every prime to x+z and no further
     top = x + z
-    for y in (0.5, isqrt(top), isqrt(top) + 0.5, top / 3, top, top + 7.5):
-        want = [v for v in range(x + 1, top + 1) if v == 1 or _lpf(v) <= y]
-        rep = psi_window(x, z, y, table_1e5)
-        got = (rep.count, rep.smooth_head, rep.smooth_tail)
-        assert got == (len(want), min(want, default=None), max(want, default=None)), y
+    for block in (None, 64):
+        if block is not None:
+            monkeypatch.setattr(smooth, "_BLOCK", block)
+        for y in (0.5, 3, 7, isqrt(top), isqrt(top) + 0.5, top / 3, top, top + 7.5):
+            want = [v for v in range(x + 1, top + 1) if v == 1 or _lpf(v) <= y]
+            rep = psi_window(x, z, y, table_1e5)
+            got = (rep.count, rep.smooth_head, rep.smooth_tail)
+            ends = (min(want, default=None), max(want, default=None))
+            assert got == (len(want), *ends), (block, y)
 
 
 def test_psi_window_ends_within_int64(table_1e5):
@@ -317,8 +328,8 @@ def test_grimm_upper_bound_soundness_small(table_1e5):
             continue
         fired += 1
         assert b.count > b.pi_y
-        assert x < b.first_smooth <= b.last_smooth <= x + z
-        assert g(x, table_1e5) < b.bound == z
+        assert x < b.smooth_head <= b.smooth_tail <= x + z
+        assert g(x, table_1e5) < b.z == z
     assert fired > 0  # the sample really exercised the criterion
 
 
