@@ -8,14 +8,14 @@ certificate, and both are shown below.
 """
 
 from grimmsmooth import (
-    build_table,
+    PrimeTable,
     g,
     g1,
     has_representation,
     verify_grimm_summary,
 )
 
-table = build_table(1_000_000)
+table = PrimeTable(1_000_000)
 
 # a window that works: 9, 10, 11 get 3, 2, 11
 res = has_representation(8, 3, table)

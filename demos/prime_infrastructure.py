@@ -9,10 +9,10 @@ primes and need no table.
 import math
 import time
 
-from grimmsmooth import build_table, check_dusart, gap_check, segments
+from grimmsmooth import PrimeTable, check_dusart, gap_check, segments
 
 t0 = time.time()
-table = build_table(10_000_000)
+table = PrimeTable(10_000_000)
 print(f"built table to 1e7 in {time.time() - t0:.2f}s")
 
 # point queries are exact

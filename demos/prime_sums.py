@@ -7,14 +7,14 @@ S ~ -x^a log(1-a); exact evaluation shows the finite-x excess.
 """
 
 from grimmsmooth import (
-    build_table,
+    PrimeTable,
     phi_sum,
     r_d,
     ram_sum,
     scaled_intervals_disjoint,
 )
 
-table = build_table(10_001)  # primes to sqrt(x + W) for the sums at x <= 1e8
+table = PrimeTable(10_001)  # primes to sqrt(x + W) for the sums at x <= 1e8
 
 print("S(x, 1/3) against the heuristic -log(2/3) = 0.405465:")
 print(" x        S     S/x^a    excess")

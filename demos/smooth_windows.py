@@ -9,8 +9,8 @@ required, just counting.
 import math
 
 from grimmsmooth import (
+    PrimeTable,
     build_rho_table,
-    build_table,
     g,
     grimm_upper_bound,
     psi,
@@ -18,7 +18,7 @@ from grimmsmooth import (
     rho,
 )
 
-table = build_table(1_000_000)
+table = PrimeTable(1_000_000)
 
 # exact global counts
 print("Psi(10, 3)      =", psi(10, 3, table), "   (1,2,3,4,6,8,9)")

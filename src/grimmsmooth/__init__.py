@@ -33,7 +33,6 @@ from .primes import (
     GapScanSummary,
     PrimeTable,
     TableLimitError,
-    build_table,
     check_dusart,
     gap_check,
     pi_table,
@@ -82,7 +81,6 @@ __all__ = [
     "alpha1_quartic",
     "alpha1_scan",
     "build_rho_table",
-    "build_table",
     "check_dusart",
     "delta_of_lambda",
     "exceptional_scan",

@@ -9,11 +9,13 @@ whose boundaries depend only on the requested range (never on the worker
 count).  One generator, :func:`_shards`, runs the shards of every sharded
 command (verify-grimm, gap-scan, psi, exceptional-scan): it walks the range
 lazily, computes in a fork pool or in this process, reads and appends the
-per-shard checkpoint, and yields the results in shard order.  Each handler
-folds them with its summary's ``merge`` (verify-grimm, gap-scan and
-exceptional-scan) or adds them (psi), and only these four commands take
-``--workers``.  Neither the shards nor their results are ever held as a
-list, and the output is hashed and written piece by piece as it is made.
+per-shard checkpoint, and yields the results in shard order.  A shard
+function takes only its bounds, a closure over the rest of the handler's
+inputs.  Each handler folds the results with its summary's ``merge``
+(verify-grimm, gap-scan and exceptional-scan) or adds them (psi), and only
+these four commands take ``--workers``.  Neither the shards nor their
+results are ever held as a list, and the output is hashed and written piece
+by piece as it is made.
 
 Exit codes: 0 success, 1 verification failure found (a Grimm counterexample
 or a violated bound -- newsworthy, not an error), 2 usage/resource errors.
@@ -29,8 +31,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import asdict
 from functools import reduce
 from math import isqrt
 from types import SimpleNamespace
@@ -39,7 +40,8 @@ from . import __version__
 from . import exponents as expo
 from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import (
-    VerifySummary, g, g1, has_representation, search_table_limit, verify_grimm_summary,
+    MAX_WINDOW, VerifySummary, g, g1, has_representation, search_table_limit,
+    verify_grimm_summary,
 )
 from .primes import (
     MAX_LIMIT, PI_TABLE_MAX_ROOT, GapScanSummary, PrimeTable, check_dusart, gap_check,
@@ -59,17 +61,6 @@ ENV_WORKERS = "GRIMMSMOOTH_WORKERS"
 # Fixed shard span for the range scans; independent of worker count so that
 # the merged output is too.
 SHARD_SPAN = 1 << 21
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    table_limit: int | None
-    worker_count: int
-    wall_time_s: float
-    result_digest: str
-    peak_rss_kib: dict  # {"self": ..., "children": ...}, getrusage maxima
 
 
 def _fmt(v) -> str:
@@ -124,16 +115,15 @@ def _get_table(required: int, args, flag: str) -> PrimeTable:
 # the shard driver: one pass over a range, pooled and checkpointed
 # ---------------------------------------------------------------------------
 
-_worker_table: PrimeTable | None = None
 _worker_fn = None
 
 
 def _pool_entry(bounds):
-    return _worker_fn(bounds, _worker_table)
+    return _worker_fn(bounds)
 
 
-def _shards(args, lo, hi, span, shard_fn, table, meta):
-    """Yield ``shard_fn((a, min(a + span, hi)), table)`` for each a in
+def _shards(args, lo, hi, span, shard_fn, meta):
+    """Yield ``shard_fn((a, min(a + span, hi)))`` for each a in
     ``range(lo, hi, span)``, in shard order.
 
     The shards left to compute run in a fork pool of ``args.worker_count``
@@ -142,9 +132,11 @@ def _shards(args, lo, hi, span, shard_fn, table, meta):
     ``{"cmd", "span", "version"} | meta``, and every other line one shard's
     result: the shards it holds are yielded from it, and each shard
     computed is appended as it is yielded.  Nothing is held per shard but
-    the results loaded from the checkpoint.
+    the results loaded from the checkpoint.  The pool's workers are forked
+    with ``shard_fn`` in ``_worker_fn``, so it is never pickled and may be a
+    closure.
     """
-    global _worker_table, _worker_fn
+    global _worker_fn
     starts = range(lo, hi, span)
     done: dict[int, object] = {}
     path = getattr(args, "checkpoint", None)
@@ -184,11 +176,11 @@ def _shards(args, lo, hi, span, shard_fn, table, meta):
         if left > 1 and args.worker_count > 1 and hasattr(os, "fork"):
             import multiprocessing as mp
 
-            _worker_table, _worker_fn = table, shard_fn
+            _worker_fn = shard_fn
             pool = mp.get_context("fork").Pool(min(args.worker_count, left))
             results = pool.imap(_pool_entry, todo)
         else:
-            results = (shard_fn(bounds, table) for bounds in todo)
+            results = map(shard_fn, todo)
         for i in range(len(starts)):
             if i in done:
                 yield done[i]
@@ -201,11 +193,13 @@ def _shards(args, lo, hi, span, shard_fn, table, meta):
     finally:
         if pool:
             pool.terminate()
-            _worker_table = _worker_fn = None
+            _worker_fn = None
         if ck:
             ck.close()
 
 
+# the handlers' closures call these by their module names when a shard runs,
+# so a wrapper installed in the module (a profiler's) sees every shard
 def _verify_shard(bounds, table):
     lo, hi = bounds
     return verify_grimm_summary(hi, table, lo=lo).to_json()
@@ -234,13 +228,8 @@ def _h_g1(args):
 def _h_represent(args):
     table = _get_table(isqrt(args.n + args.k) + 1, args, "--n plus --k")
     res = has_representation(args.n, args.k, table)
-    if res.representable:
-        cert = ";".join(str(p) for p in res.assignment)
-        status = "representable"
-    else:
-        cert = ";".join(str(i) for i in sorted(res.hall_witness))
-        status = "not_representable"
-    return [{"n": args.n, "k": args.k, "status": status, "certificate": cert}], 0
+    row = {"n": args.n, "k": args.k, "status": res.status, "certificate": res.certificate}
+    return [row], 0
 
 
 def _run_rows(limit, witness):
@@ -264,7 +253,9 @@ def _run_rows(limit, witness):
 def _h_verify_grimm(args):
     table = _get_table(isqrt(args.limit) + 1, args, "--limit")
     meta = {"limit": args.limit}
-    shards = _shards(args, 2, args.limit, SHARD_SPAN, _verify_shard, table, meta)
+    shards = _shards(
+        args, 2, args.limit, SHARD_SPAN, lambda ab: _verify_shard(ab, table), meta,
+    )
     s = reduce(
         VerifySummary.merge, map(VerifySummary.from_json, shards),
         VerifySummary(lo=2, hi=2, runs=0, failures=(), max_k=0, max_k_p=0),
@@ -273,7 +264,7 @@ def _h_verify_grimm(args):
     if args.emit_runs:
         # every run between consecutive primes is representable except the
         # failures the shards reported, with their Hall witnesses
-        witness = {r.p: ";".join(map(str, sorted(r.result.hall_witness))) for r in s.failures}
+        witness = {r.p: r.result.certificate for r in s.failures}
         rows = _run_rows(args.limit, witness)
         summary = f"runs={s.runs} failures={failures} max_k={s.max_k} at p={s.max_k_p}"
         print(summary, file=sys.stderr)
@@ -290,7 +281,7 @@ def _h_verify_grimm(args):
 def _h_gap_scan(args):
     shards = _shards(
         args, 2, args.limit, SHARD_SPAN,
-        lambda ab, t: gap_check(ab[1], lo=ab[0]).to_json(), None, {"limit": args.limit},
+        lambda ab: gap_check(ab[1], lo=ab[0]).to_json(), {"limit": args.limit},
     )
     s = reduce(
         GapScanSummary.merge, map(GapScanSummary.from_json, shards),
@@ -342,7 +333,7 @@ def _h_psi(args):
         meta["regime"] = "primes"
     else:
         table, span = _get_table(bound, args, "--y"), SHARD_SPAN
-    shares = _shards(args, 0, x, span, lambda ab, t: psi_part(x, y, *ab, t), table, meta)
+    shares = _shards(args, 0, x, span, lambda ab: psi_part(x, y, *ab, table), meta)
     return [{"x": x, "y": y, "psi": sum(shares)}], 0
 
 
@@ -409,14 +400,13 @@ def _h_rho(args):
 def _h_exceptional_scan(args):
     c0 = scan_c0(args.eps, args.stride, args.c0)
     table = _get_table(int(args.x_max**args.eps) + 2, args, "--x-max")
-
-    def shard(bounds, table):
-        return _scan_shard(bounds, table, args.eps, c0, args.stride)
-
     # SHARD_SPAN sampled n per shard, and at least one shard; the scan
     # takes no --checkpoint
     span = args.stride * SHARD_SPAN
-    shards = _shards(args, 1, args.x_max + 1, span, shard, table, {})
+    shards = _shards(
+        args, 1, args.x_max + 1, span,
+        lambda ab: _scan_shard(ab, table, args.eps, c0, args.stride), {},
+    )
     rep = reduce(ExceptionalScanReport.merge, shards)
     row = asdict(rep) | {"first_failures": ";".join(map(str, rep.first_failures))}
     return [row], 0
@@ -432,6 +422,8 @@ def _h_ram_sum(args):
 
 
 def _h_rd(args):
+    if args.r > args.s:
+        raise ValueError(f"--r must be at most --s, got --r {args.r} and --s {args.s}")
     val = r_d(args.x, args.alpha, args.r, args.s, args.d)
     return (
         [
@@ -449,6 +441,8 @@ def _h_rd(args):
 
 
 def _h_phi_sum(args):
+    if args.v1 <= args.v:
+        raise ValueError(f"--v1 must exceed --v, got --v {args.v} and --v1 {args.v1}")
     val = phi_sum(args.v, args.v1, args.eta)
     return [{"V": args.v, "V1": args.v1, "eta": args.eta, "phi_sum": val}], 0
 
@@ -466,7 +460,7 @@ def _exponent_row(lam: float, eps_prime: float) -> dict:
 
 def _h_exponents(args):
     if args.grid is not None:
-        lo, hi = float(Fraction(1, 33)), float(Fraction(1, 29))
+        lo, hi = float(expo.LAMBDA_LO), float(expo.LAMBDA_HI)
         step = (hi - lo) / (args.grid + 1)
         rows = [
             _exponent_row(lo + i * step, args.eps_prime)
@@ -502,6 +496,12 @@ def _positive(cast):
     return _checked(cast, lambda v: v > 0, "positive")
 
 
+def _non_negative(cast):
+    return _checked(cast, lambda v: v >= 0, "non-negative")
+
+
+_window_n = _checked(int, lambda v: v >= 2, "at least 2")
+_window_k = _checked(int, lambda v: 1 <= v <= MAX_WINDOW, f"in [1, {MAX_WINDOW}]")
 _finite_float = _checked(float, math.isfinite, "finite")
 _smooth_y = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
@@ -514,6 +514,11 @@ _rho_t_max = _checked(float, lambda v: 1 <= v <= MAX_T, f"in [1, {MAX_T}]")
 _rho_step = _checked(
     float, lambda v: nodes_per_unit(v) is not None,
     f"1/m for an integer m in [2, {MAX_NODES_PER_UNIT}]",
+)
+_scan_eps = _checked(float, lambda v: 0 < v < 0.5, "in (0, 1/2)")
+_phi_v = _checked(int, lambda v: v >= 3, "at least 3")
+_lambda = _checked(
+    float, lambda v: expo.LAMBDA_LO < v < expo.LAMBDA_HI, "strictly in (1/33, 1/29)",
 )
 
 
@@ -539,14 +544,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("g", _h_g, help="largest k such that (n, k) has a prime representation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_window_n, required=True)
 
     p = add("g1", _h_g1, help="largest k with omega-prefix condition holding")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_window_n, required=True)
 
     p = add("represent", _h_represent, help="decide one (n, k) window with certificate")
-    p.add_argument("--n", type=_positive(int), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_window_n, required=True)
+    p.add_argument("--k", type=_window_k, required=True)
 
     p = add(
         "verify-grimm", _h_verify_grimm, sharded=True,
@@ -569,14 +574,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
 
     p = add("psi-window", _h_psi_window, help="smooth count in (x, x+z]")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
+    p.add_argument("--x", type=_non_negative(int), required=True)
+    p.add_argument("--z", type=_positive(int), required=True)
     p.add_argument("--y", type=_smooth_y, required=True)
 
     p = add("grimm-bound", _h_grimm_bound, help="certified g(x) < z from a smooth window")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_non_negative(int), required=True)
     p.add_argument("--y", type=_smooth_y, required=True)
-    p.add_argument("--z", type=int, required=True)
+    p.add_argument("--z", type=_positive(int), required=True)
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")
     p.add_argument("--t", type=float, default=None)
@@ -589,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="short-window smoothness failures",
     )
     p.add_argument("--x-max", type=_scan_n, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_scan_eps, required=True)
     p.add_argument("--c0", type=_positive(float), default=None)
     p.add_argument("--stride", type=_scan_n, default=1)
 
@@ -601,18 +606,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rd", _h_rd, help="floor-difference sum R_d")
     p.add_argument("--x", type=_positive(int), required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive(int), required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive(int), required=True)
 
     p = add("phi-sum", _h_phi_sum, help="sawtooth sum over eta/n")
-    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--v", type=_phi_v, required=True)
     p.add_argument("--v1", type=int, required=True)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=_finite_float, required=True)
 
     p = add("exponents", _h_exponents, help="lambda -> (alpha, delta, gamma, alpha1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eps-prime", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None)
+    p.add_argument("--eps-prime", type=_non_negative(float), default=0.0)
     p.add_argument("--grid", type=_positive(int), default=None)
 
     return parser
@@ -674,15 +679,15 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
         print(f"error: out of memory. {e}".rstrip(), file=sys.stderr)
         return 2
 
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        parameters=_manifest_params(args),
-        table_limit=args.table_limit_used,
-        worker_count=args.worker_count,
-        wall_time_s=time.perf_counter() - t0,
-        result_digest=digest.hexdigest(),
-        peak_rss_kib=_peak_rss_kib(),
-    )
+    manifest = {
+        "subcommand": args.subcommand,
+        "parameters": _manifest_params(args),
+        "table_limit": args.table_limit_used,
+        "worker_count": args.worker_count,
+        "wall_time_s": time.perf_counter() - t0,
+        "result_digest": digest.hexdigest(),
+        "peak_rss_kib": _peak_rss_kib(),
+    }
     path = args.manifest
     if path != "-":
         if path is None:
@@ -695,7 +700,7 @@ def run(argv, stdout=None, manifest_dir: str | None = None) -> int:
             print(f"error: --manifest {path}: {e.strerror}", file=sys.stderr)
             return 2
         with fh:
-            json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
+            json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return flag
 

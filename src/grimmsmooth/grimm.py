@@ -82,6 +82,18 @@ class RepresentationResult:
     assignment: tuple[int, ...] | None = None
     hall_witness: frozenset[int] | None = None
 
+    @property
+    def status(self) -> str:
+        """``representable`` or ``not_representable``."""
+        return "representable" if self.representable else "not_representable"
+
+    @property
+    def certificate(self) -> str:
+        """The assignment's primes, or the Hall witness's offsets in
+        ascending order, joined by ``;``."""
+        cert = self.assignment if self.representable else sorted(self.hall_witness)
+        return ";".join(map(str, cert))
+
 
 @dataclass(frozen=True)
 class GrimmRunReport:
@@ -92,10 +104,9 @@ class GrimmRunReport:
     result: RepresentationResult
 
     def csv_row(self) -> str:
-        if self.result.representable:
-            return f"{self.p},{self.k},representable"
-        wit = ";".join(str(i) for i in sorted(self.result.hall_witness))
-        return f"{self.p},{self.k},not_representable,{wit}"
+        """p, k and the status, then the Hall witness when there is one."""
+        row = f"{self.p},{self.k},{self.result.status}"
+        return row if self.result.representable else f"{row},{self.result.certificate}"
 
 
 @dataclass(frozen=True)
@@ -155,42 +166,26 @@ def _augment(
     matched and its owner was exhausted, which is the Hall-violation data.
     """
     visited: set[int] = set()
-    from_offset: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = [(start, iter(adj[start]))]
-    free = None
     while stack:
-        u, it = stack[-1]
-        pushed = False
-        for p in it:
+        for p in stack[-1][1]:
             if p in visited:
                 continue
             visited.add(p)
-            from_offset[p] = u
             o = owner.get(p)
             if o is None:
-                free = p
-                break
+                # p is free and the stack is the path to it: each offset
+                # on it, deepest first, takes the prime it reached and hands
+                # its old one to the offset below
+                for u, _ in reversed(stack):
+                    owner[p] = u
+                    matched[u], p = p, matched[u]
+                return None
             stack.append((o, iter(adj[o])))
-            pushed = True
             break
         else:
             stack.pop()
-            continue
-        if free is not None:
-            break
-        if pushed:
-            continue
-    if free is None:
-        return visited
-    p = free
-    while True:
-        u = from_offset[p]
-        old = matched[u]
-        owner[p] = u
-        matched[u] = p
-        if u == start:
-            return None
-        p = old
+    return visited
 
 
 def _match_window(adj: list[list[int]]) -> RepresentationResult:

@@ -63,10 +63,6 @@ _CHUNK_ODDS = 1 << 20
 class TableLimitError(ValueError):
     """An operation needs primes beyond what the table holds."""
 
-    def __init__(self, message: str, required: int):
-        super().__init__(message)
-        self.required = required
-
 
 def _odd_flags(o_lo: int, o_hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(o, flags)`` per chunk of the odd indices o_lo <= i < o_hi:
@@ -256,10 +252,7 @@ class PrimeTable:
 
     def _check_range(self, x: float, what: str = "argument") -> None:
         if x < 0 or x > self.limit:
-            raise TableLimitError(
-                f"{what} {x} outside table range [0, {self.limit}]",
-                required=int(math.ceil(x)),
-            )
+            raise TableLimitError(f"{what} {x} outside table range [0, {self.limit}]")
 
     def pi(self, x: float) -> int:
         """Number of primes <= x (real x allowed; counts primes <= floor(x))."""
@@ -270,11 +263,6 @@ class PrimeTable:
         """Primes <= bound, ascending, as a read-only view of the table's array."""
         self._check_range(max(bound, 0), "prime list bound")
         return self._primes[: np.searchsorted(self._primes, math.floor(bound), "right")]
-
-
-def build_table(limit: int) -> PrimeTable:
-    """Build a :class:`PrimeTable` answering queries up to ``limit`` exactly."""
-    return PrimeTable(limit)
 
 
 # ---------------------------------------------------------------------------

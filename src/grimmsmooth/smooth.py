@@ -179,8 +179,7 @@ def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
     if table is None or table.limit < bound:
         raise TableLimitError(
             f"psi(x={x}, y={y}) needs table limit >= {bound}, "
-            f"have {table.limit if table else None}",
-            required=bound,
+            f"have {table.limit if table else None}"
         )
     return psi_window(a, b - a, y, table).count if b > a else 0
 
@@ -216,8 +215,7 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     if table.limit < required:
         raise TableLimitError(
             f"psi_window(x={x}, z={z}, y={y}) needs table limit >= {required}, "
-            f"have {table.limit}",
-            required=required,
+            f"have {table.limit}"
         )
     fy = math.floor(y)
     pi_y = table.pi(fy) if fy <= table.limit else prime_pi(fy)
@@ -285,7 +283,6 @@ def exceptional_scan(
     table: PrimeTable,
     c0: float | None = None,
     stride: int = 1,
-    max_reported: int = _MAX_REPORTED,
     start: int = 1,
 ) -> ExceptionalScanReport:
     """Fraction of sampled n = start, start + stride, ... <= x_max failing
@@ -296,7 +293,8 @@ def exceptional_scan(
     counted by :func:`_window_counts`, which sieves each run of equal-length
     windows once; the threshold n^eps is the Python float ``n**eps`` of
     every sampled n, so neither the counts nor the failures depend on how
-    the runs are cut.  ``start`` must be >= 1.
+    the runs are cut.  ``start`` must be >= 1.  The report lists the first
+    ``_MAX_REPORTED`` = 20 failures.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
@@ -314,8 +312,7 @@ def exceptional_scan(
         counts = _window_counts(ns, ne.astype(np.int64), stride, table)
         failed = ns[counts < c0 * ne]
         failures += len(failed)
-        room = max(0, max_reported - len(first_failures))
-        first_failures.extend(failed[:room].tolist())
+        first_failures.extend(failed[: _MAX_REPORTED - len(first_failures)].tolist())
     evaluated = len(samples) - degenerate
     return ExceptionalScanReport(
         x_max=x_max, eps=eps, c0=float(c0), stride=stride, sampled=len(samples),

@@ -5,20 +5,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from grimmsmooth import build_table
+from grimmsmooth import PrimeTable
 
 
 @pytest.fixture(scope="session")
 def table_1e4():
-    return build_table(10_000)
+    return PrimeTable(10_000)
 
 
 @pytest.fixture(scope="session")
 def table_1e5():
-    return build_table(100_000)
+    return PrimeTable(100_000)
 
 
 @pytest.fixture(scope="session")
 def table_1e6():
-    return build_table(1_000_000)
+    return PrimeTable(1_000_000)
 

@@ -15,7 +15,9 @@ from typing import Iterator
 
 import numpy as np
 
-from grimmsmooth import GrimmRunReport, PrimeTable, has_representation
+from grimmsmooth import (
+    GrimmRunReport, PrimeTable, RepresentationResult, has_representation,
+)
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -80,6 +82,35 @@ def sdr_exists(sets: list[list[int]]) -> bool:
         return False
 
     return place(0)
+
+
+def kuhn_recursive(rows: list[list[int]]) -> RepresentationResult:
+    """The textbook recursive Kuhn matching of the offsets 1..len(rows) to
+    the primes of their rows, the offsets and each row taken in the order
+    given (ascending, for the canonical matching).
+
+    Every offset matched gives the assignment.  Otherwise the first offset
+    i + 1 that its search cannot match gives the Hall witness: i + 1 and
+    the owners of every prime that search visited.
+    """
+    owner: dict[int, int] = {}
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for p in rows[u]:
+            if p not in visited:
+                visited.add(p)
+                if p not in owner or augment(owner[p], visited):
+                    owner[p] = u
+                    return True
+        return False
+
+    for i in range(len(rows)):
+        visited: set[int] = set()
+        if not augment(i, visited):
+            witness = {i + 1} | {owner[p] + 1 for p in visited}
+            return RepresentationResult(False, hall_witness=frozenset(witness))
+    prime_of = {u: p for p, u in owner.items()}
+    return RepresentationResult(True, assignment=tuple(prime_of[u] for u in range(len(rows))))
 
 
 def g_exhaustive(n: int, k_cap: int = 10_000) -> int:
@@ -272,14 +303,14 @@ def exceptional_scan_reference(
     eps: float,
     c0: float,
     stride: int = 1,
-    max_reported: int = 20,
     start: int = 1,
 ) -> dict:
     """The fields of an exceptional-scan report, one window at a time.
 
     Each sampled n with n^eps >= 2 counts the n^eps-smooth values of
     (n, n + int(n^eps)] by trial division and fails when that count is
-    below c0 * n^eps; n with n^eps < 2 are degenerate.
+    below c0 * n^eps; n with n^eps < 2 are degenerate.  The first 20
+    failures are listed.
     """
     sampled = degenerate = failures = 0
     first: list[int] = []
@@ -291,7 +322,7 @@ def exceptional_scan_reference(
             continue
         if smooth_count_direct(n + 1, n + int(ne), ne) < c0 * ne:
             failures += 1
-            if len(first) < max_reported:
+            if len(first) < 20:
                 first.append(n)
     evaluated = sampled - degenerate
     return {

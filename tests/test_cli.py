@@ -239,7 +239,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["rho", "--dump", "--t-max", "nan"], "--t-max"),
         (["exponents", "--grid", "-3"], "--grid"),
         (["exponents", "--grid", "0"], "--grid"),
-        (["g", "--n", "0"], "n must be >= 2"),
+        (["g", "--n", "0"], "--n"),
+        (["g", "--n", "1"], "--n"),
+        (["g1", "--n", "0"], "--n"),
+        (["represent", "--n", "1", "--k", "3"], "--n"),
+        (["represent", "--n", "100", "--k", "0"], "--k"),
+        (["represent", "--n", "100", "--k", str(10**6 + 1)], "--k"),
         (["verify-grimm", "--limit", "-5"], "--limit"),
         (["gap-scan", "--limit", "0"], "--limit"),
         (["dusart-check", "--limit", "-1"], "--limit"),
@@ -289,6 +294,19 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["rd", "--x", "0", "--alpha", "0.4"] + rd, "--x"),
         (["rd", "--x", "100", "--alpha", "nan"] + rd, "--alpha"),
         (["rd", "--x", "100", "--alpha", "inf"] + rd, "--alpha"),
+        (["rd", "--x", "100", "--alpha", "0.4", "--r", "0", "--s", "10", "--d", "1"], "--r"),
+        (["rd", "--x", "100", "--alpha", "0.4", "--r", "1", "--s", "10", "--d", "0"], "--d"),
+        (["rd", "--x", "100", "--alpha", "0.4", "--r", "11", "--s", "10", "--d", "1"],
+         "--r must be at most --s"),
+        (["phi-sum", "--v", "2", "--v1", "10", "--eta", "3"], "--v"),
+        (["phi-sum", "--v", "5", "--v1", "5", "--eta", "3"], "--v1 must exceed --v"),
+        (["phi-sum", "--v", "5", "--v1", "10", "--eta", "nan"], "--eta"),
+        (["exponents", "--lambda", "0.5"], "--lambda"),
+        (["exponents", "--lambda", "0.032", "--eps-prime", "-1"], "--eps-prime"),
+        (["exceptional-scan", "--x-max", "100", "--eps", "0.6"], "--eps"),
+        (["psi-window", "--x", "10", "--z", "0", "--y", "5"], "--z"),
+        (["psi-window", "--x", "-3", "--z", "5", "--y", "5"], "--x"),
+        (["grimm-bound", "--x", "10", "--y", "5", "--z", "0"], "--z"),
         # a checkpoint path that cannot be opened
         (["verify-grimm", "--limit", "100", "--checkpoint", str(tmp_path)], "--checkpoint"),
         (["gap-scan", "--limit", "100", "--checkpoint", str(tmp_path / "no" / "c")],
@@ -810,9 +828,9 @@ def test_shard_driver_streams(monkeypatch):
 
     for workers in (1, 2):
         args = argparse.Namespace(subcommand="test", worker_count=workers)
-        shards = cli._shards(args, 5, 5 + 3 * 2**40, 3, lambda ab, t: (ab, t), "t", {})
-        assert next(shards) == ((5, 8), "t")
-        assert next(shards) == ((8, 11), "t")
+        shards = cli._shards(args, 5, 5 + 3 * 2**40, 3, lambda ab: ab, {})
+        assert next(shards) == (5, 8)
+        assert next(shards) == (8, 11)
         shards.close()
 
 

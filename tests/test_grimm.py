@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from grimmsmooth import (
     GrimmRunReport,
+    PrimeTable,
     RepresentationResult,
     VerifySummary,
-    build_table,
     g,
     g1,
     has_representation,
@@ -27,6 +27,7 @@ from oracles import (
     g1_prefix_union,
     g_exhaustive,
     is_prime,
+    kuhn_recursive,
     largest_prime_factor,
     sdr_exists,
     trial_primes,
@@ -153,6 +154,16 @@ def test_g_and_g1_certified_property(table_1e4, n):
     res = has_representation(n, k + 1, table_1e4)
     assert not res.representable
     check_result(n, k + 1, res, table_1e4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(2, 300), st.integers(2, 10**5)), st.integers(1, 60))
+@example(2, 4)  # 3, 4 and 6 share {2, 3}
+def test_matching_is_the_recursive_kuhn_search_property(table_1e4, n, k):
+    # the same search in the same order: the same assignment, or the same
+    # Hall witness, not only the same verdict
+    rows = [distinct_primes(n + i) for i in range(1, k + 1)]
+    assert has_representation(n, k, table_1e4) == kuhn_recursive(rows)
 
 
 def test_search_cap_behaviour(monkeypatch, table_1e4):
@@ -290,7 +301,7 @@ def check_blocks(lo, hi, table):
 
 
 def test_smooth_keying_matches_full_lpf_keying():
-    table = build_table(isqrt(10**7) + 1)
+    table = PrimeTable(isqrt(10**7) + 1)
     rng = random.Random(13)
     # the first block, whose interior primes below K are smooth, then full
     # blocks from random starts below 1e7
@@ -325,7 +336,7 @@ def test_smooth_keying_in_pieces(monkeypatch, piece):
     # many pieces per block, colliding runs whose equal-lpf elements lie in
     # different pieces, and pieces that switch from int32 to int64 at 2^31
     monkeypatch.setattr(intervals, "_PIECE", piece)
-    table = build_table(50_000)
+    table = PrimeTable(50_000)
     check_blocks(2, 100_000, table)
     assert straddling_collisions(2, 100_000, piece, table) >= 3
     check_blocks(2**31 - 40_000, 2**31 + 40_000, table)
@@ -333,7 +344,7 @@ def test_smooth_keying_in_pieces(monkeypatch, piece):
 
 def test_smooth_keying_past_2_32():
     lo = 2**32 + 12345
-    check_blocks(lo, lo + 2**21, build_table(isqrt(lo + 2**22) + 1))
+    check_blocks(lo, lo + 2**21, PrimeTable(isqrt(lo + 2**22) + 1))
 
 
 def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):
@@ -416,9 +427,7 @@ def test_gap_and_grimm_consistency(table_1e4):
 
 def test_verify_grimm_extended_range():
     # range-scale soak: every composite run below 1.9e7 is representable
-    from grimmsmooth import build_table
-
-    table = build_table(19_000_000)
+    table = PrimeTable(19_000_000)
     s = verify_grimm_summary(19_000_000, table)
     assert s.failures == ()
     assert s.runs == table.pi(19_000_000) - 2  # all pairs except (2,3)

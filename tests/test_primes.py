@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from grimmsmooth import (
     GapRecord,
     GapScanSummary,
+    PrimeTable,
     TableLimitError,
-    build_table,
     check_dusart,
     gap_check,
     pi_table,
@@ -29,16 +29,16 @@ DENSE_1E6 = sieve_primes(10**6)
 
 def test_build_rejects_bad_limits():
     with pytest.raises(ValueError):
-        build_table(1)
+        PrimeTable(1)
     with pytest.raises(ValueError):
-        build_table(2**31 + 1)
+        PrimeTable(2**31 + 1)
 
 
 def test_tiny_tables():
-    t = build_table(2)
+    t = PrimeTable(2)
     assert t.pi(2) == 1
     assert t.primes_to(2).tolist() == [2]
-    t = build_table(10)
+    t = PrimeTable(10)
     assert t.pi(2) == 1
     assert t.pi(10) == 4
     assert t.primes_to(10).tolist() == [2, 3, 5, 7]
@@ -102,7 +102,7 @@ def test_every_small_table_lists_its_primes():
     # primes found, is loosest at small limits
     for limit in range(2, 2001):
         want = TRIAL_1E4[: bisect.bisect_right(TRIAL_1E4, limit)]
-        assert build_table(limit).primes_to(limit).tolist() == want, limit
+        assert PrimeTable(limit).primes_to(limit).tolist() == want, limit
 
 
 def test_primes_to_examples(table_1e4):
@@ -122,7 +122,7 @@ def test_pi_across_small_segments(monkeypatch):
     # 256 odd numbers per build chunk: the table of 1e4 is filled from 20
     # chunks, and pi at every x <= 1e4 reads across their boundaries
     monkeypatch.setattr(primes_mod, "_CHUNK_ODDS", 256)
-    t = build_table(10_000)
+    t = PrimeTable(10_000)
     counts = np.searchsorted(TRIAL_1E4, np.arange(10_001), side="right")
     assert [t.pi(x) for x in range(10_001)] == counts.tolist()
     assert t.primes_to(10_000).tolist() == TRIAL_1E4
@@ -185,7 +185,7 @@ def test_pi_table_every_entry_below_3000(table_1e4):
 def test_pi_table_every_entry_around_cubes_and_squares():
     # the per-prime passes stop at the last p with p^3 <= x, and the small
     # table's length changes at the squares
-    primes = build_table(8_000_000).primes_to(8_000_000)
+    primes = PrimeTable(8_000_000).primes_to(8_000_000)
     for c in range(2, 200):
         for x in (c**3 - 1, c**3, c**3 + 1, c * c - 1, c * c, c * c + 1):
             _assert_pi_table(x, primes)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import grimmsmooth.smooth as smooth
 from grimmsmooth import (
     ExceptionalScanReport,
+    PrimeTable,
     TableLimitError,
     build_rho_table,
-    build_table,
     exceptional_scan,
     g,
     grimm_upper_bound,
@@ -308,7 +308,7 @@ def test_psi_window_pi_y_on_both_sides_of_x_plus_z(monkeypatch, x, z):
     # prime_pi counts pi(y)
     top = x + z
     for y in (isqrt(top), top - 0.5, top, top + 0.5, top + 1, top + 1000):
-        table = build_table(smooth.window_table_limit(x, z, y))
+        table = PrimeTable(smooth.window_table_limit(x, z, y))
         with monkeypatch.context() as m:
             if y < top + 1:
                 m.setattr(smooth, "prime_pi", None)
@@ -406,7 +406,6 @@ def scan_args(draw):
         "eps": draw(st.floats(0.05, 0.5, exclude_min=True, exclude_max=True)),
         "c0": math.exp(draw(st.floats(math.log(0.005), 0.0))),
         "stride": draw(st.one_of(st.integers(1, 8), st.integers(1, 60))),
-        "max_reported": draw(st.integers(0, 25)),
         "start": draw(st.integers(1, x_max + 1)),
     }
 
@@ -415,7 +414,7 @@ def scan_args(draw):
 @settings(max_examples=40, deadline=None)
 @given(scan_args())
 # a dense scan near the failure threshold: any window miscounted by one shows
-@example({"x_max": 3000, "eps": 0.45, "c0": 0.3, "stride": 2, "max_reported": 20, "start": 1})
+@example({"x_max": 3000, "eps": 0.45, "c0": 0.3, "stride": 2, "start": 1})
 def test_exceptional_scan_matches_reference_property(table_1e4, block, args):
     # block = 64 cuts the sample segments and the runs of equal z into
     # several sieve calls; the report must not change

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grimmsmooth import (
-    build_table,
+    PrimeTable,
     floor_decomposition,
     phi,
     phi_sum,
@@ -126,7 +126,7 @@ def test_ram_sum_past_the_int64_product():
     x, alpha = 10**15, 0.27
     w = window_exponent_floor(x, alpha)
     assert x * w > 2**63
-    res = ram_sum(x, alpha, build_table(isqrt(x + w) + 1))
+    res = ram_sum(x, alpha, PrimeTable(isqrt(x + w) + 1))
     assert res.sum == ram_sum_miller_rabin(x, alpha)
 
 
