@@ -462,15 +462,21 @@ def _h_exponents(args):
     if args.grid is not None:
         lo, hi = float(expo.LAMBDA_LO), float(expo.LAMBDA_HI)
         step = (hi - lo) / (args.grid + 1)
-        rows = [
-            _exponent_row(lo + i * step, args.eps_prime)
-            for i in range(1, args.grid + 1)
-        ]
+        lams = [lo + i * step for i in range(1, args.grid + 1)]
+        where = "the --grid point lambda ="
+    elif args.lam is None:
+        raise ValueError("provide --lambda or --grid N")
     else:
-        if args.lam is None:
-            raise ValueError("provide --lambda or --grid N")
-        rows = [_exponent_row(args.lam, args.eps_prime)]
-    return rows, 0
+        lams, where = [args.lam], "--lambda"
+    # delta = 1/4 + lambda/2 - eps' depends on both flags, so no parser type
+    # can bound --eps-prime
+    for lam in lams:
+        if expo.delta_of_lambda(lam, args.eps_prime) < 0:
+            raise ValueError(
+                f"--eps-prime {args.eps_prime:g} exceeds 1/4 + lambda/2 at "
+                f"{where} {lam:g}, so delta would be negative"
+            )
+    return [_exponent_row(lam, args.eps_prime) for lam in lams], 0
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,21 @@ Verifying Grimm's conjecture below a limit decides every composite run
 between consecutive primes, block by block.  ``verify_grimm_summary`` takes
 the run counts from the prime gaps alone.  Distinct largest prime factors
 already form an assignment, so only runs in which two elements share their
-lpf need the matching, about 0.02% of the runs below 1e7.  Such a shared
-lpf divides the difference of the two elements, so it lies below K, the
-block's longest run: only the (K-1)-smooth elements can collide, and the
-block is sieved with the primes below K alone (about 36 of them near 1e7,
-where sqrt(x) would take about 420), leaving about 3% of its values to key
-by (run, lpf) and sort.  The sieve and the keying walk the block in pieces
-of 2^17 values (2^16 from 2^31 on), so no array spans the block, and one
-sort over every piece's keys lets a run that crosses a piece edge collide
-across it.  The smooth numbers are the only obstruction, as in the paper.
+lpf need a matching, 138 of the 664,577 runs below 1e7.  Such a shared lpf
+divides the difference of the two elements, so in a run of length k it lies
+below k, and both elements are (k-1)-smooth.  Those are also the only
+elements the matching needs: a prime q >= k divides at most one element of
+the run, so an element whose lpf is at least k takes it, and the run is
+representable exactly when its (k-1)-smooth elements have distinct primes,
+about 3 elements per colliding run below 1e7 and at most 10.  A run they
+cannot cover goes to the full matching, for its Hall witness.  The block is
+walked in pieces of 2^17 values (2^16 from 2^31 on), so no array spans it,
+and each piece is sieved with the primes below the longest run that touches
+it alone (29 of them for the median piece below 1e7, where sqrt(x) would
+take 446), leaving about 3% of its values to key by (run, lpf), each key
+with its value beside it.  One sort over every piece's keys lets a run that
+crosses a piece edge collide across it.  The smooth numbers are the only
+obstruction, as in the paper.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import lpf_range, prime_rows, smooth_lpf
+from .intervals import _bound_smooth, lpf_range, prime_rows
 from .primes import PrimeTable, bounding_primes
 
 
@@ -342,6 +348,10 @@ def g1(n: int, table: PrimeTable) -> int:
 # ---------------------------------------------------------------------------
 
 _SCAN_BLOCK = 1 << 21
+# a block holds _SCAN_BLOCK values and one prime gap, so its rows fit below
+# 2^22, and _colliding_runs packs each under its (run, lpf) key, which stays
+# below 2^33 (fewer than 2^22 runs, and prime gaps below 2^11 in int64)
+_ROW_BITS = _SCAN_BLOCK.bit_length()
 
 
 def _iter_blocks(ps: np.ndarray):
@@ -360,48 +370,85 @@ def _iter_blocks(ps: np.ndarray):
         i = j
 
 
-def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable) -> np.ndarray:
-    """Indices a into ``ps`` of the runs ps[a]+1 .. ps[a+1]-1 of the block
-    blo..bhi in which two elements share their largest prime factor,
-    ascending.
+# The smooth sieve walks a block this many values at a time below 2^31, and
+# half as many from 2^31 on, where the sieve's arrays are int64: either way
+# they stay in one core's L2 cache through the strided passes.  Timed per
+# 2^21-value block, 2^17 beat 2^16 (more numpy calls per prime) and 2^18
+# below 2^31, and 2^16 beat 2^17 past it.
+_PIECE = 1 << 17
 
-    Two elements of a run of length k that share the largest prime factor q
-    differ by a multiple of q between 1 and k - 1, so q < k <= K, the
-    longest run of the block, and both elements are (K-1)-smooth.  Only
-    those elements are keyed, by (run, lpf); the block's primes below K are
-    smooth too and drop out as their own lpf.
+
+def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable):
+    """Yield ``(a, values)`` for each run ps[a]+1 .. ps[a+1]-1 of the block
+    blo..bhi in which two elements share their largest prime factor, in
+    ascending a, with the run's elements whose lpf is below its length k.
+
+    Two elements of a run that share the largest prime factor q differ by a
+    multiple of q between 1 and k - 1, so q < k and both are (k-1)-smooth.
+    The block is sieved in pieces, each with the primes below the longest
+    run that touches it, and each smooth element is keyed by (run, lpf),
+    with the block's longest run as multiplier, above its row in the block;
+    the block's primes below a piece's bound are smooth too and drop out as
+    their own lpf.
     """
     longest = int(np.max(np.diff(ps))) - 1
     keys = []
-    for rows, lpf in smooth_lpf(blo, bhi, longest - 1, table):
-        values = blo + rows
-        keep = lpf != values
-        run = np.searchsorted(ps, values[keep]) - 1
-        keys.append(run * longest + lpf[keep])  # lpf < longest
+    start = blo
+    while start <= bhi:
+        end = min(start + (_PIECE if start < 2**31 else _PIECE // 2) - 1, bhi)
+        # ps[a-1] <= start < ps[a] and ps[b-1] <= end < ps[b], so the runs
+        # a-1 .. b-1 cover the piece
+        a, b = np.searchsorted(ps, (start, end), side="right")
+        bound = int(np.max(np.diff(ps[a - 1 : b + 1]))) - 2
+        flags, lpf = _bound_smooth(start, end, bound, table, True)
+        rows = np.flatnonzero(flags)
+        v, q = start + rows, lpf[rows]
+        keep = q != v
+        run = np.searchsorted(ps, v[keep]) - 1
+        keys.append((run * longest + q[keep]) << _ROW_BITS | (v[keep] - blo))
+        start = end + 1
     # one sort over every piece's keys: a run that crosses a piece edge
     # collides across it too
-    keys = np.sort(np.concatenate(keys))
-    dup = keys[1:][keys[1:] == keys[:-1]]
-    return np.unique(dup // longest)
+    keys = np.concatenate(keys)
+    keys.sort()
+    pairs = keys >> _ROW_BITS
+    runs = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // longest)
+    # a run's elements with lpf below its length are one slice of the keys
+    ks = ps[runs + 1] - ps[runs] - 1
+    starts, ends = np.searchsorted(pairs, (runs * longest, runs * longest + ks))
+    for a, i, j in zip(runs.tolist(), starts.tolist(), ends.tolist()):
+        yield a, (blo + (keys[i:j] & (1 << _ROW_BITS) - 1)).tolist()
+
+
+def _smooth_sdr(values: list[int], k: int, table: PrimeTable) -> bool:
+    """Whether the elements ``values`` of a run of length k, those whose
+    largest prime factor is below k, take pairwise distinct primes.
+
+    The run has a prime representation exactly when they do: a prime
+    q >= k divides at most one element of the run, so an element whose lpf
+    is at least k takes it, and no other element can want it.  The rows
+    come from trial division by the primes below k.
+    """
+    primes = table.primes_to(k - 1).tolist()
+    return _match_window([[p for p in primes if v % p == 0] for v in values]).representable
 
 
 def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySummary:
     """Count runs and collect failures for closing primes in (lo, limit].
 
     Run counts and the longest run come from the gaps between consecutive
-    primes alone.  When the largest prime factors of a run's elements are
-    pairwise distinct they already form a valid assignment, so the full
-    matching runs only on colliding runs: per block, the elements smooth
-    over the primes below the block's longest run, the only ones whose lpf
-    can repeat within a run, get the key (run, lpf), and equal neighbours
-    in the sorted keys mark the runs to factor and match
-    (:func:`_colliding_runs`).  Failure reports always carry the canonical
-    matching certificate.  The primes come from :func:`bounding_primes`;
-    ``table`` only has to reach sqrt(limit), for the matching: the smooth
-    sieve needs primes to the longest run less one, at most ceil(sqrt(q))
-    for a gap closing at q (at most 12 for the gap 113 .. 127, and far
-    below sqrt(q) as q grows), and a table that falls short raises
-    ``TableLimitError``.
+    primes alone.  Only a run in which two elements share their largest
+    prime factor can lack a representation, and :func:`_colliding_runs`
+    finds those runs per block, each with its elements whose lpf is below
+    its length k; the run is representable exactly when those elements have
+    distinct primes below k (:func:`_smooth_sdr`).  A run they cannot cover
+    is decided again by :func:`has_representation`, so failure reports
+    always carry the canonical matching certificate.  The primes come from
+    :func:`bounding_primes`; ``table`` only has to reach sqrt(limit), for
+    that matching: the smooth sieve needs primes to the longest run less
+    one, at most ceil(sqrt(q)) for a gap closing at q (at most 12 for the
+    gap 113 .. 127, and far below sqrt(q) as q grows), and a table that
+    falls short raises ``TableLimitError``.
     """
     ps = bounding_primes(lo, limit)
     ks = np.diff(ps) - 1
@@ -412,9 +459,11 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
         max_k, max_k_p = int(ks[a]), int(ps[a])
     failures: list[GrimmRunReport] = []
     for bps, blo, bhi in _iter_blocks(ps):
-        for a in _colliding_runs(bps, blo, bhi, table).tolist():
+        for a, values in _colliding_runs(bps, blo, bhi, table):
             p = int(bps[a])
             k = int(bps[a + 1]) - p - 1
+            if _smooth_sdr(values, k, table):
+                continue
             res = has_representation(p, k, table)
             if not res.representable:
                 failures.append(GrimmRunReport(p, k, res))

@@ -24,18 +24,18 @@ still divisible, one pass per power.  A block with no sparse prime takes
 the strided views alone, as every full 2^20-value block of psi with
 y <= 23,301 does, and then the narrowest integer types that hold ``smooth``
 and ``lpf``.  One integer division ``values // smooth`` leaves the residual
-cofactor; :func:`smooth_lpf` and :func:`_bound_smooth` need none, since a
-value is smooth over the sieving primes exactly when ``smooth`` equals it.
-That is how verify finds the elements that can share a largest prime factor
-in a run (it sieves each 2^21-value block with the primes below the block's
-longest run only, and :func:`smooth_lpf` walks the block in pieces of
-``_PIECE`` values, each sieved on its own so that the sieve's arrays stay in
-cache), and how ``smooth.psi_window`` (psi's blocks when y < sqrt(x) and
-the short windows alike) and the exceptional scan count the y-smooth values
-of a range, whatever its size: a bound above sqrt(hi) only sends more
-primes to the hit list.  For :func:`prime_rows` and :func:`lpf_range` the
-bound is sqrt(hi), and a residual r > 1 is then necessarily prime (it has
-no factor <= sqrt(hi) left) and is the element's largest prime factor.
+cofactor; :func:`_bound_smooth` needs none, since a value is smooth over the
+sieving primes exactly when ``smooth`` equals it.  That is how verify finds
+the elements that can share a largest prime factor in a run (it walks each
+2^21-value block in pieces of ``grimm._PIECE`` values, so that the sieve's
+arrays stay in cache, and sieves each piece with the primes below the
+longest run that touches it only), and how ``smooth.psi_window`` (psi's
+blocks when y < sqrt(x) and the short windows alike) and the exceptional
+scan count the y-smooth values of a range, whatever its size: a bound above
+sqrt(hi) only sends more primes to the hit list.  For :func:`prime_rows`
+and :func:`lpf_range` the bound is sqrt(hi), and a residual r > 1 is then
+necessarily prime (it has no factor <= sqrt(hi) left) and is the element's
+largest prime factor.
 Multiplicities are deliberately discarded -- only the set of distinct
 primes per element is kept.
 """
@@ -181,29 +181,3 @@ def _bound_smooth(lo: int, hi: int, bound: int, table: PrimeTable, with_lpf: boo
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     smooth, lpf = _sieve(lo, hi, table.primes_to(bound), with_lpf)
     return smooth == np.arange(lo, hi + 1, dtype=smooth.dtype), lpf
-
-
-# smooth_lpf sieves its range this many values at a time below 2^31, and
-# half as many from 2^31 on, where the sieve's arrays are int64: either way
-# they stay in one core's L2 cache through the strided passes.  Timed per
-# 2^21-value block, 2^17 beat 2^16 (more numpy calls per prime) and 2^18
-# below 2^31, and 2^16 beat 2^17 past it.
-_PIECE = 1 << 17
-
-
-def smooth_lpf(lo: int, hi: int, bound: int, table: PrimeTable):
-    """Yield ``(rows, lpf)`` for each piece of lo..hi (lo >= 1), in order:
-    the rows i, ascending, of the values lo+i in the piece whose prime
-    factors all lie at or below ``bound``, and the largest prime factor of
-    each.
-
-    A piece holds ``_PIECE`` values, or half as many from 2^31 on, and is
-    sieved on its own, so no array spans the whole range.
-    """
-    start = lo
-    while start <= hi:
-        end = min(start + (_PIECE if start < 2**31 else _PIECE // 2) - 1, hi)
-        flags, lpf = _bound_smooth(start, end, bound, table, with_lpf=True)
-        rows = np.flatnonzero(flags)
-        yield rows + (start - lo), lpf[rows]
-        start = end + 1

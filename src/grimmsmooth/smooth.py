@@ -225,7 +225,7 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
         # a block is sieved whole: psi sieves with every prime up to y (168
-        # at y = 1000), and in intervals._PIECE-value pieces the numpy calls
+        # at y = 1000), and in verify's 2^17-value pieces the numpy calls
         # per prime and piece cost more than the cache saved (psi(1e8, 1000)
         # took 1.02-1.11 s in pieces against 0.94-1.06 s whole)
         flags = _bound_smooth(lo, hi, bound, table, False)[0]

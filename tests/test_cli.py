@@ -303,6 +303,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["phi-sum", "--v", "5", "--v1", "10", "--eta", "nan"], "--eta"),
         (["exponents", "--lambda", "0.5"], "--lambda"),
         (["exponents", "--lambda", "0.032", "--eps-prime", "-1"], "--eps-prime"),
+        # delta = 1/4 + lambda/2 - eps' must not be negative, at --lambda or
+        # at every --grid point
+        (["exponents", "--lambda", "0.032", "--eps-prime", "0.5"],
+         "--eps-prime 0.5 exceeds 1/4 + lambda/2 at --lambda 0.032"),
+        (["exponents", "--grid", "3", "--eps-prime", "0.266"],
+         "--eps-prime 0.266 exceeds 1/4 + lambda/2 at the --grid point lambda ="),
         (["exceptional-scan", "--x-max", "100", "--eps", "0.6"], "--eps"),
         (["psi-window", "--x", "10", "--z", "0", "--y", "5"], "--z"),
         (["psi-window", "--x", "-3", "--z", "5", "--y", "5"], "--x"),

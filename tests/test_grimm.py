@@ -258,44 +258,64 @@ def lpf_1e5():
 
 
 def colliding_runs(lpf, lo, hi):
-    """(p, prime sets) of each run p+1 .. q-1 with closing prime q in (lo, hi]
-    in which two elements share their largest prime factor."""
+    """(p, k, smooth) of each run p+1 .. p+k with closing prime p+k+1 in
+    (lo, hi] in which two elements share their largest prime factor, with
+    smooth the run's elements whose lpf is below k, ascending."""
     primes = [n for n in range(2, hi + 1) if lpf[n] == n]
     out = []
     for p, q in zip(primes, primes[1:]):
         run = range(p + 1, q)
         if q > lo and len({lpf[n] for n in run}) < len(run):
-            out.append((p, [distinct_primes(n) for n in run]))
+            out.append((p, len(run), [n for n in run if lpf[n] < len(run)]))
     return out
 
 
+SHARDS = ([(2, 100_000)], [(2, 40_000), (40_000, 100_000)])
+
+
 def test_collision_detector_fires(monkeypatch, table_1e5, lpf_1e5):
-    # the summary matches exactly the runs whose lpf values collide
+    # the summary decides exactly the runs whose lpf values collide, each
+    # from its elements with lpf below k, and calls the full matching for
+    # none of them, since every one is representable
     seen = []
-    match = grimm._match_window
+    decide = grimm._smooth_sdr
 
-    def record(adj):
-        seen.append(adj)
-        return match(adj)
+    def record(values, k, table):
+        seen.append((sorted(values), k))
+        return decide(values, k, table)
 
-    monkeypatch.setattr(grimm, "_match_window", record)
-    for shards in ([(2, 100_000)], [(2, 40_000), (40_000, 100_000)]):
+    monkeypatch.setattr(grimm, "_smooth_sdr", record)
+    monkeypatch.setattr(
+        grimm, "has_representation", lambda *run: pytest.fail(f"matched {run} whole")
+    )
+    for shards in SHARDS:
         for lo, hi in shards:
             seen.clear()
             s = verify_grimm_summary(hi, table_1e5, lo=lo)
             expected = colliding_runs(lpf_1e5, lo, hi)
-            assert expected and seen == [w for _, w in expected], (lo, hi)
+            assert expected and seen == [(w, k) for _, k, w in expected], (lo, hi)
             assert s.failures == ()
+
+
+def run_smooth_elements(ps, a, blo, lpf):
+    """The elements of the run ps[a]+1 .. ps[a+1]-1 whose lpf (``lpf`` of the
+    block from blo) is below the run's length, ascending."""
+    rows = np.arange(ps[a] + 1, ps[a + 1]) - blo
+    return (blo + rows[lpf[rows] < len(rows)]).tolist()
 
 
 def check_blocks(lo, hi, table):
     """The smooth-element keying against the full-lpf keying on every block
-    of the runs closing in (lo, hi]; returns each block's (K - 1, count)."""
+    of the runs closing in (lo, hi], and the elements each colliding run
+    yields; returns each block's (K - 1, count)."""
     seen = []
     for bps, blo, bhi in grimm._iter_blocks(bounding_primes(lo, hi)):
-        want = colliding_runs_full_lpf(bps, blo, lpf_range(blo, bhi, table))
-        got = grimm._colliding_runs(bps, blo, bhi, table)
-        assert np.array_equal(got, want), (blo, bhi)
+        lpf = lpf_range(blo, bhi, table)
+        want = colliding_runs_full_lpf(bps, blo, lpf)
+        got = list(grimm._colliding_runs(bps, blo, bhi, table))
+        assert np.array_equal([a for a, _ in got], want), (blo, bhi)
+        for a, values in got:
+            assert sorted(values) == run_smooth_elements(bps, a, blo, lpf), (blo, a)
         seen.append((int(np.max(np.diff(bps))) - 2, bhi - blo + 1))
     return seen
 
@@ -333,9 +353,10 @@ def straddling_collisions(lo, hi, piece, table):
 
 @pytest.mark.parametrize("piece", [16, 64, 99])
 def test_smooth_keying_in_pieces(monkeypatch, piece):
-    # many pieces per block, colliding runs whose equal-lpf elements lie in
-    # different pieces, and pieces that switch from int32 to int64 at 2^31
-    monkeypatch.setattr(intervals, "_PIECE", piece)
+    # many pieces per block, each sieved to its own longest run, colliding
+    # runs whose equal-lpf elements lie in different pieces, and pieces that
+    # switch from int32 to int64 at 2^31
+    monkeypatch.setattr(grimm, "_PIECE", piece)
     table = PrimeTable(50_000)
     check_blocks(2, 100_000, table)
     assert straddling_collisions(2, 100_000, piece, table) >= 3
@@ -348,18 +369,92 @@ def test_smooth_keying_past_2_32():
 
 
 def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):
-    def refuse(adj):
-        return RepresentationResult(False, hall_witness=frozenset({1, len(adj)}))
-
-    monkeypatch.setattr(grimm, "_match_window", refuse)
+    # a run the smooth elements' matching refuses is decided again by
+    # has_representation, and reported with the witness it gives
+    monkeypatch.setattr(grimm, "_smooth_sdr", lambda values, k, table: False)
     expected = tuple(
-        GrimmRunReport(p, len(w), refuse(w))
-        for p, w in colliding_runs(lpf_1e5, 2, 100_000)
+        GrimmRunReport(p, k, has_representation(p, k, table_1e5))
+        for p, k, _ in colliding_runs(lpf_1e5, 2, 100_000)
     )
-    assert verify_grimm_summary(100_000, table_1e5).failures == expected
-    a = verify_grimm_summary(40_000, table_1e5)
-    b = verify_grimm_summary(100_000, table_1e5, lo=40_000)
-    assert a.failures + b.failures == expected
+    # no such run fails the full matching, so none is reported
+    assert all(r.result.representable for r in expected)
+    for shards in SHARDS:
+        assert all(verify_grimm_summary(hi, table_1e5, lo=lo).failures == ()
+                   for lo, hi in shards)
+
+    def refuse(p, k, table):
+        return RepresentationResult(False, hall_witness=frozenset({1, k}))
+
+    monkeypatch.setattr(grimm, "has_representation", refuse)
+    expected = tuple(GrimmRunReport(r.p, r.k, refuse(r.p, r.k, None)) for r in expected)
+    for shards in SHARDS:
+        failures = sum((verify_grimm_summary(hi, table_1e5, lo=lo).failures
+                        for lo, hi in shards), ())
+        assert failures == expected
+
+
+def smooth_elements(n, k, table):
+    """The values of n+1 .. n+k whose largest prime factor is below k."""
+    lpf = lpf_range(n + 1, n + k, table).tolist()
+    return [n + 1 + i for i, q in enumerate(lpf) if q < k]
+
+
+def test_smooth_sdr_refuses_hall_violations(table_1e4):
+    # three elements over the two primes {2, 3}, and others whose primes
+    # below k are fewer than the elements
+    for values, k in [
+        ([6, 12, 18], 13),
+        ([4, 8], 5),
+        ([10, 20, 40, 50], 11),
+        ([6, 9, 12, 15, 35, 49], 8),  # 6, 9 and 12 over {2, 3}
+    ]:
+        assert not grimm._smooth_sdr(values, k, table_1e4), values
+
+
+def test_smooth_sdr_accepts_distinct_representatives(table_1e4):
+    for values, k in [
+        ([], 1),
+        ([6, 10, 15], 7),
+        ([6, 15, 35, 14], 8),  # a cycle 2-3-5-7-2 of shared primes
+        ([4, 9, 25, 49], 8),
+        ([12, 18], 5),
+    ]:
+        assert grimm._smooth_sdr(values, k, table_1e4), values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 20_000), st.integers(1, 120))
+@example(2, 4)  # 3, 4, 6 share {2, 3}
+@example(4, 7)
+def test_smooth_sdr_decides_every_window_property(table_1e4, n, k):
+    # any k consecutive integers, primes and all, are representable exactly
+    # when their elements with lpf below k are; short windows near small n
+    # often are not
+    assert grimm._smooth_sdr(smooth_elements(n, k, table_1e4), k, table_1e4) == (
+        has_representation(n, k, table_1e4).representable
+    ), (n, k)
+
+
+def check_every_run(lo, hi, table):
+    """The smooth-element decision of every run closing in (lo, hi] against
+    has_representation."""
+    ps = bounding_primes(lo, hi).tolist()
+    for p, q in zip(ps, ps[1:]):
+        k = q - p - 1
+        if k:
+            decided = grimm._smooth_sdr(smooth_elements(p, k, table), k, table)
+            assert decided == has_representation(p, k, table).representable, (p, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 10**6 - 3000), st.integers(1, 3000))
+def test_smooth_sdr_decides_every_run_property(table_1e6, lo, length):
+    check_every_run(lo, lo + length, table_1e6)
+
+
+def test_smooth_sdr_decides_every_run_past_2_32():
+    lo = 2**32 + 12345
+    check_every_run(lo, lo + 2**15, PrimeTable(isqrt(lo + 2**16) + 1))
 
 
 @settings(max_examples=40, deadline=None)

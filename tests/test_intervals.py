@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grimmsmooth import PrimeTable, TableLimitError, has_representation
 from grimmsmooth import intervals
-from grimmsmooth.intervals import _bound_smooth, lpf_range, prime_rows, smooth_lpf
+from grimmsmooth.intervals import _bound_smooth, lpf_range, prime_rows
 from oracles import (
     distinct_primes,
     largest_prime_factor,
@@ -118,7 +118,7 @@ def test_validation_errors(table_1e4):
     with pytest.raises(ValueError):
         prime_rows(5, 4, table_1e4)
     with pytest.raises(ValueError):
-        next(smooth_lpf(0, 10, 5, table_1e4))
+        _bound_smooth(0, 10, 5, table_1e4, True)
     with pytest.raises(TableLimitError):
         has_representation(4 * 10**8, 10, table_1e4)
 
@@ -164,10 +164,11 @@ def smooth_by_trial_division(lo, hi, bound):
 
 
 def check_smooth_lpf(lo, hi, bound, table):
-    rows, lpf = map(np.concatenate, zip(*smooth_lpf(lo, hi, bound, table)))
-    assert (rows.tolist(), lpf.tolist()) == smooth_by_trial_division(lo, hi, bound), (
-        lo, hi, bound,
-    )
+    """The bound-smooth values and their lpf, as verify keys them."""
+    flags, lpf = _bound_smooth(lo, hi, bound, table, True)
+    rows = np.flatnonzero(flags)
+    want = smooth_by_trial_division(lo, hi, bound)
+    assert (rows.tolist(), lpf[rows].tolist()) == want, (lo, hi, bound)
 
 
 @cache
@@ -244,36 +245,11 @@ def test_hits_filtered_in_slices_match_trial_division(table_1e4, window):
 
 
 @settings(max_examples=60, deadline=None)
-@given(windows(), st.integers(0, 400), st.sampled_from([1, 7, 64, 1000]))
-@example((2**20 - 600, 2**20), 2, 64)
-@example((1, 1100), 400, 1000)
-def test_smooth_lpf_matches_trial_division_property(table_1e4, window, bound, piece):
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(intervals, "_PIECE", piece)
-        check_smooth_lpf(*window, bound, table_1e4)
-
-
-@pytest.mark.parametrize("piece", [64, 999, 1000])
-def test_smooth_lpf_pieces(table_1e4, monkeypatch, piece):
-    # every piece from the range's start, the last one partial, and from
-    # 2^31 on int64 pieces of half the size after int32 ones
-    monkeypatch.setattr(intervals, "_PIECE", piece)
-    for lo, hi in [
-        (1, 5000),
-        (10**6 - 1234, 10**6 + 4321),
-        (2**31 - 3000, 2**31 + 2001),
-    ]:
-        starts = []
-        a = lo
-        while a <= hi:
-            starts.append(a)
-            a += piece if a < 2**31 else piece // 2
-        pieces = list(smooth_lpf(lo, hi, 60, table_1e4))
-        assert len(pieces) == len(starts), (lo, hi)
-        for (rows, _), a, b in zip(pieces, starts, starts[1:] + [hi + 1]):
-            assert np.all((a - lo <= rows) & (rows < b - lo)), (lo, hi, a)
-        for bound in (2, 60, 300):
-            check_smooth_lpf(lo, hi, bound, table_1e4)
+@given(windows(), st.integers(0, 400))
+@example((2**20 - 600, 2**20), 2)
+@example((1, 1100), 400)
+def test_smooth_lpf_matches_trial_division_property(table_1e4, window, bound):
+    check_smooth_lpf(*window, bound, table_1e4)
 
 
 @pytest.mark.parametrize(
