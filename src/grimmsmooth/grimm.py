@@ -399,12 +399,14 @@ def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable):
         # ps[a-1] <= start < ps[a] and ps[b-1] <= end < ps[b], so the runs
         # a-1 .. b-1 cover the piece
         a, b = np.searchsorted(ps, (start, end), side="right")
-        bound = int(np.max(np.diff(ps[a - 1 : b + 1]))) - 2
+        pps = ps[a - 1 : b + 1]
+        bound = int(np.max(np.diff(pps))) - 2
         flags, lpf = _bound_smooth(start, end, bound, table, True)
         rows = np.flatnonzero(flags)
         v, q = start + rows, lpf[rows]
         keep = q != v
-        run = np.searchsorted(ps, v[keep]) - 1
+        # v lies in the run closed by pps[j], which is ps[a - 1 + j]
+        run = np.searchsorted(pps, v[keep]) + (a - 2)
         keys.append((run * longest + q[keep]) << _ROW_BITS | (v[keep] - blo))
         start = end + 1
     # one sort over every piece's keys: a run that crosses a piece edge
@@ -412,7 +414,13 @@ def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable):
     keys = np.concatenate(keys)
     keys.sort()
     pairs = keys >> _ROW_BITS
-    runs = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // longest)
+    # the colliding runs come sorted, so a neighbour comparison drops their
+    # repeats; np.unique would import numpy.ma (about 9 ms) into every
+    # forked worker, through its np.ma.is_masked check
+    runs = pairs[1:][pairs[1:] == pairs[:-1]] // longest
+    first = np.ones(len(runs), dtype=bool)
+    first[1:] = runs[1:] != runs[:-1]
+    runs = runs[first]
     # a run's elements with lpf below its length are one slice of the keys
     ks = ps[runs + 1] - ps[runs] - 1
     starts, ends = np.searchsorted(pairs, (runs * longest, runs * longest + ks))

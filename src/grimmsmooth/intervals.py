@@ -7,13 +7,22 @@ primes of each element) are the adjacency structure of the bipartite graph
 :func:`_bound_smooth` flags the elements whose prime factors all lie at or
 below a bound, the test every smooth count reads.
 
-The method is one prime-power sieve (:func:`_sieve`) that splits the
-sieving primes by how often they hit the block of ``count`` values.  A dense
-prime p <= count // ``_DENSE_HITS`` gets strided views: for every power
-q = p^j with a multiple in the block it multiplies ``smooth[(-lo) % q :: q]``
-by p, so each element picks up its p-part, and it stores ``p`` into
-``lpf[(-lo) % p :: p]`` in ascending p, so the largest dividing prime is the
-one left standing.
+The method is one prime-power sieve (:func:`_sieve`).  Its arrays start
+from periodic patterns, the classic wheel of prime sieves: ``smooth`` from
+each value's gcd with 5040 = 2^4 3^2 5 7, its part over the smallest
+primes, and ``lpf`` from the largest of 2, 3, 5 and 7 dividing it (period
+210), both tiled by slice copies of one period (:func:`primes._tile`);
+bounds below 7 take the patterns of 2, of 2 and 3, or of 2, 3 and 5.  The
+patterns replace the densest strided passes: of the 17 passes the prime 2
+makes over a 2^17-value piece, the four below 32 made 15/16 of its
+stores.  The strided power loop then takes these four primes on from 32,
+27, 25 and 49, in a block of any size, and splits the other sieving
+primes by how often they hit the block of ``count`` values.  A
+dense prime p <= count // ``_DENSE_HITS`` gets strided views: for every
+power q = p^j with a multiple in the block it multiplies
+``smooth[(-lo) % q :: q]`` by p, so each element picks up its p-part, and
+it stores ``p`` into ``lpf[(-lo) % p :: p]`` in ascending p, so the largest
+dividing prime is the one left standing.
 A sparse prime hits at most about ``_DENSE_HITS`` elements, where a numpy
 call per prime and per power would cost more than it sieves, so all sparse
 primes share one hit list of (row, prime) pairs built with ``np.repeat``
@@ -42,11 +51,11 @@ primes per element is kept.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
-from .primes import PrimeTable
+from .primes import PrimeTable, _tile
 
 
 # A prime p > count // _DENSE_HITS hits a block of count values at most
@@ -88,9 +97,28 @@ def _hits(lo: int, count: int, primes: np.ndarray):
     return rows, rep
 
 
+# The leading sieving primes 2, 3, 5 and 7 start every block from periodic
+# patterns, indexed by how many of them sieve (bounds below 7 take fewer):
+# smooth from each value's gcd with 2^4 3^2 5 7 = 5040 (period 16, 144,
+# 720 or 5040), and lpf from the largest of them dividing it (period 2, 6,
+# 30 or 210).  The strided power loop then goes on from 32, 27, 25 and 49.
+_WHEEL_NEXT = (32, 27, 25, 49)
+_SMOOTH_WHEELS = [np.gcd(np.arange(m), m) for m in (1, 16, 144, 720, 5040)]
+
+
+def _lpf_wheel(ps: tuple[int, ...]) -> np.ndarray:
+    pattern = np.ones(prod(ps), dtype=np.int64)
+    for p in ps:  # ascending p: the largest divisor stays
+        pattern[::p] = p
+    return pattern
+
+
+_LPF_WHEELS = [_lpf_wheel((2, 3, 5, 7)[:w]) for w in range(5)]
+
+
 def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
-    """Prime-power sieve of the values lo..hi (lo >= 1) by ``primes``
-    (ascending).
+    """Prime-power sieve of the values lo..hi (lo >= 1) by ``primes``, the
+    primes up to some bound, ascending.
 
     Returns ``(smooth, lpf)``: ``smooth[i]`` is the product of the full
     powers of ``primes`` dividing lo+i, so lo+i is smooth over ``primes``
@@ -100,6 +128,7 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
     """
     count = hi - lo + 1
     dense = _n_dense(count, primes)
+    wheel = min(len(primes), len(_WHEEL_NEXT))
     # the strided passes over a block are bound by its memory traffic, so
     # when every prime takes them the arrays get the narrowest type that
     # holds them: smooth[i] divides lo+i, and lpf[i] is one of ``primes``;
@@ -108,19 +137,26 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
     if dense == len(primes) and hi < 2**31:
         smooth_type = np.int32
         lpf_type = np.min_scalar_type(int(primes[-1]) if dense else 1)
-    smooth = np.ones(count, dtype=smooth_type)
-    lpf = np.ones(count, dtype=lpf_type) if with_lpf else None
-    for p in primes[:dense].tolist():
-        if with_lpf:
+    smooth = np.empty(count, dtype=smooth_type)
+    _tile(smooth, _SMOOTH_WHEELS[wheel], lo)
+    lpf = None
+    if with_lpf:
+        lpf = np.empty(count, dtype=lpf_type)
+        _tile(lpf, _LPF_WHEELS[wheel], lo)
+    strided = max(dense, wheel)  # the wheel primes stride whatever the block
+    for i, p in enumerate(primes[:strided].tolist()):
+        q = p
+        if i < wheel:
+            q = _WHEEL_NEXT[i]  # the first power the pattern leaves out
+        elif with_lpf:
             lpf[-lo % p :: p] = p  # ascending p: the largest divisor stays
         # no multiple of q in the block means none of q p: a power past hi
         # has none, and in a short block the loop stops well before hi
-        q = p
         while (first := -lo % q) < count:
             smooth[first::q] *= p
             q *= p
-    if dense < len(primes):
-        rows, ps = _hits(lo, count, primes[dense:])
+    if strided < len(primes):
+        rows, ps = _hits(lo, count, primes[strided:])
         if with_lpf:
             np.maximum.at(lpf, rows, ps)  # every sparse p exceeds every dense one
         cof = (lo + rows) // ps

@@ -2,9 +2,13 @@
 
 :func:`segments` is the package's one primality sieve: an odd-only
 Eratosthenes sieve that walks [lo, hi] in chunks of ``_CHUNK_ODDS`` odd
-numbers, crossing off multiples of the base primes <= sqrt(hi), which it
-lists by walking [3, sqrt(hi)] the same way, and yields each chunk's primes
-as an ascending int64 array.  Its memory is one chunk, whatever the range,
+numbers and yields each chunk's primes as an ascending int64 array.  A
+chunk starts from a wheel, the odd numbers coprime to 3 5 7 11 13, whose
+pattern repeats every 15,015 odd numbers and is tiled by slice copies
+(:func:`_tile`, which the window sieve of ``intervals`` shares); only the
+base primes from 17 to sqrt(hi) cross off their multiples, and those it
+lists by walking [17, sqrt(hi)] the same way, which needs no base prime
+below 289.  Its memory is one chunk, whatever the range,
 so the scans read it directly, one shard at a time, and need no table:
 
 * :func:`bounding_primes` -- the consecutive primes around the gaps that
@@ -64,25 +68,58 @@ class TableLimitError(ValueError):
     """An operation needs primes beyond what the table holds."""
 
 
+def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:
+    """Fill ``out`` with ``pattern`` repeated from its entry ``start``:
+    ``out[i] = pattern[(start + i) % len(pattern)]``.
+
+    At most one period is copied from ``pattern``, and only the entries
+    ``out`` needs; a longer ``out`` then doubles what it holds, a whole
+    number of periods per slice copy."""
+    period, n = len(pattern), len(out)
+    off = start % period
+    head = min(n, period - off)
+    out[:head] = pattern[off : off + head]
+    m = min(n, period)
+    out[head:m] = pattern[: m - head]
+    while m < n:
+        k = min(m, n - m)
+        out[m : m + k] = out[:k]
+        m += k
+
+
+# The odd primes that every chunk of :func:`_odd_flags` takes from one
+# pattern instead of striding: the odd numbers 2i + 1 coprime to their
+# product repeat with period 15,015 in i.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.gcd(2 * np.arange(15_015) + 1, 15_015) == 1
+
+
 def _odd_flags(o_lo: int, o_hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(o, flags)`` per chunk of the odd indices o_lo <= i < o_hi:
     ``flags[j]`` is True iff the odd number 2(o + j) + 1 is prime.  Every
     chunk is sieved in the same buffer, so ``flags`` holds only until the
     next chunk is asked for.
 
-    The base primes, the odd primes <= sqrt(2 o_hi - 1), come from
-    :func:`segments` itself; below 9 it needs none, which ends the
-    recursion."""
+    A chunk starts as the odd numbers coprime to 3 5 7 11 13 (``_WHEEL``),
+    with 1 struck and those five primes set back, and only the base primes
+    from 17 to sqrt(2 o_hi - 1) stride over it.  They come from
+    :func:`segments` itself, which is not called below 17^2 = 289; that
+    ends the recursion."""
     if o_hi <= o_lo:
         return
-    base = [p for ps in segments(3, isqrt(2 * o_hi - 1)) for p in ps.tolist()]
+    r = isqrt(2 * o_hi - 1)
+    base = [p for ps in segments(17, r) for p in ps.tolist()] if r >= 17 else []
     buf = np.empty(min(_CHUNK_ODDS, o_hi - o_lo), dtype=bool)
     for o in range(o_lo, o_hi, _CHUNK_ODDS):
         size = min(_CHUNK_ODDS, o_hi - o)
         flags = buf[:size]
-        flags[:] = True
+        _tile(flags, _WHEEL, o)
         if o == 0:
             flags[0] = False  # the number 1
+        if o < 7:  # the wheel primes 3 .. 13 are the odd indices 1 .. 6
+            for p in _WHEEL_PRIMES:
+                if 0 <= (i := p // 2 - o) < size:
+                    flags[i] = True
         lo_num = 2 * o + 1
         for p in base:
             start = max(p * p, ((lo_num + p - 1) // p) * p)

@@ -4,8 +4,10 @@ Everything here is deliberately naive: trial division, a dense sieve,
 exhaustive backtracking, direct recursion.  None of it shares code with the
 package, except :func:`verify_grimm`, the full-matching reference for the
 run verification, which lists its runs from its own sieve but decides every
-run with the library's own matching, and :func:`colliding_runs_full_lpf`,
-which keys the largest prime factors the library's ``lpf_range`` gives.
+run with the library's own matching, :func:`colliding_runs_full_lpf`,
+which keys the largest prime factors the library's ``lpf_range`` gives,
+and :func:`strided_sieve`, the window sieve without its wheel patterns,
+which takes the library's hit list and dense/sparse split.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from grimmsmooth import (
     GrimmRunReport, PrimeTable, RepresentationResult, has_representation,
 )
+from grimmsmooth.intervals import _hits, _n_dense
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -173,6 +176,41 @@ def colliding_runs_full_lpf(ps: np.ndarray, blo: int, lpf: np.ndarray) -> np.nda
     keys = np.sort(run_id[composite] * (blo + count) + lpf[composite])
     dup = keys[1:][keys[1:] == keys[:-1]]
     return np.unique(dup // (blo + count))
+
+
+def strided_sieve(lo: int, hi: int, primes: np.ndarray, with_lpf: bool = False):
+    """``intervals._sieve`` as it was before the wheel patterns: every dense
+    prime strides from its first power over arrays of ones, and the sparse
+    primes take the package's hit list (``intervals._hits``) from the same
+    split (``intervals._n_dense``), so the arrays and their dtypes are the
+    ones ``_sieve`` must give.
+    """
+    count = hi - lo + 1
+    dense = _n_dense(count, primes)
+    smooth_type = lpf_type = np.int64
+    if dense == len(primes) and hi < 2**31:
+        smooth_type = np.int32
+        lpf_type = np.min_scalar_type(int(primes[-1]) if dense else 1)
+    smooth = np.ones(count, dtype=smooth_type)
+    lpf = np.ones(count, dtype=lpf_type) if with_lpf else None
+    for p in primes[:dense].tolist():
+        if with_lpf:
+            lpf[-lo % p :: p] = p
+        q = p
+        while (first := -lo % q) < count:
+            smooth[first::q] *= p
+            q *= p
+    if dense < len(primes):
+        rows, ps = _hits(lo, count, primes[dense:])
+        if with_lpf:
+            np.maximum.at(lpf, rows, ps)
+        cof = (lo + rows) // ps
+        while len(rows):
+            np.multiply.at(smooth, rows, ps)
+            more = cof % ps == 0
+            rows, ps, cof = rows[more], ps[more], cof[more]
+            cof //= ps
+    return smooth, lpf
 
 
 def smooth_count_direct(lo: int, hi: int, y: float) -> int:

@@ -862,3 +862,35 @@ def test_perfbench_hooks_into_cli_resolve(monkeypatch):
     assert (cli.ENV_TABLE_LIMIT, cli.ENV_WORKERS) == (
         "GRIMMSMOOTH_TABLE_LIMIT", "GRIMMSMOOTH_WORKERS",
     )
+
+
+def test_hot_paths_never_import_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique without index outputs calls np.ma.is_masked,
+    # whose lazy import of numpy.ma costs about 9 ms, paid again by every
+    # forked worker whose parent never imported it; these commands must not
+    # touch it.  A fresh interpreter, since this one may have imported it.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = """
+import io, sys
+from grimmsmooth.cli import run
+for argv in (
+    ["verify-grimm", "--limit", "1000000", "--workers", "1"],
+    ["psi-window", "--x", "100000", "--z", "600", "--y", "600"],
+    ["exceptional-scan", "--x-max", "100000", "--eps", "0.45", "--stride", "10"],
+    ["g", "--n", "1000000"],
+    ["g1", "--n", "1000000"],
+    ["ram-sum", "--x", "100000000", "--alpha", "0.48"],
+):
+    assert run(argv + ["--manifest", "-"], stdout=io.StringIO()) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

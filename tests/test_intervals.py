@@ -12,6 +12,7 @@ from grimmsmooth.intervals import _bound_smooth, lpf_range, prime_rows
 from oracles import (
     distinct_primes,
     largest_prime_factor,
+    strided_sieve,
     trial_factorization,
     trial_primes,
 )
@@ -196,6 +197,30 @@ def test_sieve_agrees_at_every_split(table_1e4, monkeypatch, dense_hits):
             assert smooth_flags(lo, hi, bound, table_1e4) == flags, (lo, hi, bound)
         for bound in (0, 2, 7, 60, 150):
             check_smooth_lpf(lo, hi, bound, table_1e4)
+
+
+def test_sieve_matches_the_strided_oracle(table_1e4):
+    # the wheel patterns against plain strided passes from arrays of ones:
+    # bounds 0-7 take the partial patterns, counts run from 1 across the
+    # 5,040-value period up to a verify piece, and lo reaches 2^31, 2^32
+    # and 2^62, where the arrays are int64
+    rng = np.random.default_rng(26)
+    for _ in range(3000):
+        bound = int(rng.choice([rng.integers(0, 8), rng.integers(0, 300), rng.integers(0, 10**4)]))
+        count = int(rng.choice([
+            rng.integers(1, 100), rng.integers(1, 12_000), rng.integers(1, 2**17 + 1),
+        ]))
+        lo = int(rng.choice([rng.integers(1, 10**6), rng.integers(1, 10**9)])) + int(
+            rng.choice([0, 2**31 - 10**5, 2**32 - 10**5, 2**62 - 10**5])
+        )
+        primes, with_lpf = table_1e4.primes_to(bound), bool(rng.integers(2))
+        got = intervals._sieve(lo, lo + count - 1, primes, with_lpf)
+        want = strided_sieve(lo, lo + count - 1, primes, with_lpf)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None), (lo, count, bound)
+            if w is not None:
+                assert g.dtype == w.dtype, (lo, count, bound, g.dtype, w.dtype)
+                assert np.array_equal(g, w), (lo, count, bound, with_lpf)
 
 
 @settings(max_examples=100, deadline=None)

@@ -128,14 +128,20 @@ def test_pi_across_small_segments(monkeypatch):
     assert t.primes_to(10_000).tolist() == TRIAL_1E4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    lo=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 10**6)),
-    span=st.integers(-2, 5000),
-    chunk=st.sampled_from([8, 64, 1 << 24]),
+    lo=st.one_of(
+        # at and just past the primes the wheel pattern sets back
+        st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14]),
+        st.integers(0, 10**6),
+    ),
+    span=st.one_of(st.integers(-2, 5000), st.integers(29_000, 61_000)),
+    chunk=st.sampled_from([8, 64, 15_014, 15_015, 15_016, 1 << 24]),
 )
 def test_segments_match_dense_sieve(lo, span, chunk):
-    # a chunk of 8 or 64 odd numbers makes most ranges cross several chunks
+    # a chunk of 8 or 64 odd numbers makes most ranges cross several chunks,
+    # and one near the wheel's period of 15,015 starts each chunk from a
+    # shifted, or the same, point of the pattern
     hi = min(lo + span, 10**6)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(primes_mod, "_CHUNK_ODDS", chunk)
@@ -144,6 +150,34 @@ def test_segments_match_dense_sieve(lo, span, chunk):
     got = np.concatenate([np.empty(0, dtype=np.int64), *parts])
     ref = DENSE_1E6[(DENSE_1E6 >= lo) & (DENSE_1E6 <= hi)]
     assert got.tolist() == ref.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    period=st.integers(1, 50),
+    start=st.integers(0, 10**12),
+    n=st.integers(0, 400),
+)
+def test_tile_repeats_the_pattern(period, start, n):
+    pattern = np.arange(period) * 7 + 1
+    out = np.zeros(n, dtype=np.int32)
+    primes_mod._tile(out, pattern, start)
+    assert out.tolist() == [int(pattern[(start + i) % period]) for i in range(n)]
+
+
+def test_base_primes_below_17_need_no_recursion(monkeypatch):
+    # 3 .. 13 come from the wheel pattern, so a range below 17^2 lists its
+    # primes without calling segments again
+    calls = []
+    segments_of = primes_mod.segments
+    monkeypatch.setattr(
+        primes_mod, "segments", lambda lo, hi: calls.append((lo, hi)) or segments_of(lo, hi)
+    )
+    for hi, inner in [(288, []), (289, [(17, 17)]), (10_000, [(17, 99)])]:
+        calls.clear()
+        got = [p for ps in primes_mod.segments(3, hi) for p in ps.tolist()]
+        assert got == [p for p in TRIAL_1E4 if 3 <= p <= hi]
+        assert calls == [(3, hi), *inner]
 
 
 @settings(max_examples=40, deadline=None)
