@@ -40,17 +40,16 @@ from . import __version__
 from . import exponents as expo
 from .dickman import MAX_NODES_PER_UNIT, MAX_T, build_rho_table, nodes_per_unit, rho
 from .grimm import (
-    MAX_WINDOW, VerifySummary, g, g1, has_representation, search_table_limit,
-    verify_grimm_summary,
+    MAX_WINDOW, SearchCapExceeded, VerifySummary, g, g1, has_representation,
+    search_table_limit, verify_grimm_summary,
 )
 from .primes import (
     MAX_LIMIT, PI_TABLE_MAX_ROOT, GapScanSummary, PrimeTable, check_dusart, gap_check,
     segments,
 )
 from .smooth import (
-    PSI_MAX_X, WINDOW_MAX_END, ExceptionalScanReport, exceptional_scan,
-    grimm_upper_bound, psi_part, psi_table_limit, psi_window, scan_c0,
-    window_table_limit,
+    PSI_MAX_X, WINDOW_MAX_END, ExceptionalScanReport, exceptional_scan, psi_part,
+    psi_table_limit, psi_window, scan_c0, window_table_limit,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -96,7 +95,10 @@ def _emit(rows, fmt: str):
         if cols is None:
             cols = list(batch[0])
             head = ",".join(cols) + "\n"
-        yield head + "".join(",".join(_fmt(r.get(c)) for c in cols) + "\n" for r in batch)
+        # one map of _fmt per column: a call and a join per cell made CSV
+        # slower than JSON's one encode per batch
+        cells = [map(_fmt, [r.get(c) for r in batch]) for c in cols]
+        yield head + "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _get_table(required: int, args, flag: str) -> PrimeTable:
@@ -215,14 +217,22 @@ def _scan_shard(bounds, table, eps, c0, stride):
 # ---------------------------------------------------------------------------
 
 
-def _h_g(args):
+def _search(fn, args) -> int:
+    """``fn(--n, table)`` for g or g1; a search past its diagnostic cap is a
+    resource limit, not a counterexample, and is refused naming --n."""
     table = _get_table(search_table_limit(args.n), args, "--n")
-    return [{"n": args.n, "g": g(args.n, table)}], 0
+    try:
+        return fn(args.n, table)
+    except SearchCapExceeded as e:
+        raise ValueError(f"--n {args.n}: {e}") from None
+
+
+def _h_g(args):
+    return [{"n": args.n, "g": _search(g, args)}], 0
 
 
 def _h_g1(args):
-    table = _get_table(search_table_limit(args.n), args, "--n")
-    return [{"n": args.n, "g1": g1(args.n, table)}], 0
+    return [{"n": args.n, "g1": _search(g1, args)}], 0
 
 
 def _h_represent(args):
@@ -337,10 +347,9 @@ def _h_psi(args):
     return [{"x": x, "y": y, "psi": sum(shares)}], 0
 
 
-def _window_table(args) -> PrimeTable:
-    """The table of psi-window and grimm-bound, once the window is known to
-    end within int64 and --y to be in reach of the pi table that counts
-    pi(y)."""
+def _h_psi_window(args):
+    # the window must end within int64, and --y be in reach of the pi table
+    # that counts pi(y), before the table is built
     if args.x + args.z > WINDOW_MAX_END:
         raise ValueError(
             f"--x plus --z must be at most {WINDOW_MAX_END} (2^63 - 1); "
@@ -351,28 +360,8 @@ def _window_table(args) -> PrimeTable:
             f"--y must be below {(PI_TABLE_MAX_ROOT + 1) ** 2}, the pi table's "
             f"bound; got {args.y}"
         )
-    return _get_table(window_table_limit(args.x, args.z, args.y), args, "--y")
-
-
-def _h_psi_window(args):
-    rep = psi_window(args.x, args.z, args.y, _window_table(args))
-    return [asdict(rep)], 0
-
-
-def _h_grimm_bound(args):
-    b = grimm_upper_bound(args.x, args.y, args.z, _window_table(args))
-    row = {
-        "x": args.x,
-        "y": args.y,
-        "z": args.z,
-        "established": b is not None,
-        "bound": b.z if b else None,
-        "count": b.count if b else None,
-        "pi_y": b.pi_y if b else None,
-        "first_smooth": b.smooth_head if b else None,
-        "last_smooth": b.smooth_tail if b else None,
-    }
-    return [row], 0
+    table = _get_table(window_table_limit(args.x, args.z, args.y), args, "--y")
+    return [asdict(psi_window(args.x, args.z, args.y, table))], 0
 
 
 def _h_rho(args):
@@ -579,15 +568,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_smooth_y, required=True)
     p.add_argument("--checkpoint", default=None)
 
-    p = add("psi-window", _h_psi_window, help="smooth count in (x, x+z]")
+    p = add(
+        "psi-window", _h_psi_window,
+        help="smooth count in (x, x+z]; above pi(y) it certifies g(x) < z",
+    )
     p.add_argument("--x", type=_non_negative(int), required=True)
     p.add_argument("--z", type=_positive(int), required=True)
     p.add_argument("--y", type=_smooth_y, required=True)
-
-    p = add("grimm-bound", _h_grimm_bound, help="certified g(x) < z from a smooth window")
-    p.add_argument("--x", type=_non_negative(int), required=True)
-    p.add_argument("--y", type=_smooth_y, required=True)
-    p.add_argument("--z", type=_positive(int), required=True)
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")
     p.add_argument("--t", type=float, default=None)

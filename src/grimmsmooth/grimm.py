@@ -44,7 +44,8 @@ elements the matching needs: a prime q >= k divides at most one element of
 the run, so an element whose lpf is at least k takes it, and the run is
 representable exactly when its (k-1)-smooth elements have distinct primes,
 about 3 elements per colliding run below 1e7 and at most 10.  A run they
-cannot cover goes to the full matching, for its Hall witness.  The block is
+cannot cover is reported with their Hall violator: its primes all lie
+below k, so it violates Hall's condition for the whole run.  The block is
 walked in pieces of 2^17 values (2^16 from 2^31 on), so no array spans it,
 and each piece is sieved with the primes below the longest run that touches
 it alone (29 of them for the median piece below 1e7, where sqrt(x) would
@@ -428,17 +429,27 @@ def _colliding_runs(ps: np.ndarray, blo: int, bhi: int, table: PrimeTable):
         yield a, (blo + (keys[i:j] & (1 << _ROW_BITS) - 1)).tolist()
 
 
-def _smooth_sdr(values: list[int], k: int, table: PrimeTable) -> bool:
-    """Whether the elements ``values`` of a run of length k, those whose
-    largest prime factor is below k, take pairwise distinct primes.
+def _smooth_sdr(
+    p: int, k: int, values: list[int], table: PrimeTable
+) -> RepresentationResult:
+    """The matching of the elements ``values`` of the run p+1 .. p+k, those
+    whose largest prime factor is below k, taken in ascending order; a Hall
+    witness holds their run offsets v - p.
 
     The run has a prime representation exactly when they do: a prime
     q >= k divides at most one element of the run, so an element whose lpf
-    is at least k takes it, and no other element can want it.  The rows
-    come from trial division by the primes below k.
+    is at least k takes it, and no other element can want it.  Every prime
+    of these elements lies below k, so a set of them with fewer primes than
+    members violates Hall's condition for the whole run.  The rows come
+    from trial division by the primes below k.
     """
+    values = sorted(values)
     primes = table.primes_to(k - 1).tolist()
-    return _match_window([[p for p in primes if v % p == 0] for v in values]).representable
+    res = _match_window([[q for q in primes if v % q == 0] for v in values])
+    if res.representable:
+        return res
+    witness = frozenset(values[i - 1] - p for i in res.hall_witness)
+    return RepresentationResult(False, hall_witness=witness)
 
 
 def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySummary:
@@ -449,14 +460,13 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
     prime factor can lack a representation, and :func:`_colliding_runs`
     finds those runs per block, each with its elements whose lpf is below
     its length k; the run is representable exactly when those elements have
-    distinct primes below k (:func:`_smooth_sdr`).  A run they cannot cover
-    is decided again by :func:`has_representation`, so failure reports
-    always carry the canonical matching certificate.  The primes come from
-    :func:`bounding_primes`; ``table`` only has to reach sqrt(limit), for
-    that matching: the smooth sieve needs primes to the longest run less
-    one, at most ceil(sqrt(q)) for a gap closing at q (at most 12 for the
-    gap 113 .. 127, and far below sqrt(q) as q grows), and a table that
-    falls short raises ``TableLimitError``.
+    distinct primes below k, and a run they cannot cover is reported with
+    their Hall witness (:func:`_smooth_sdr`).  The primes come from
+    :func:`bounding_primes`; ``table`` only has to reach the longest run
+    less one, for the smooth sieve and that matching: at most ceil(sqrt(q))
+    for a gap closing at q (at most 12 for the gap 113 .. 127, and far
+    below sqrt(q) as q grows), and a table that falls short raises
+    ``TableLimitError``.
     """
     ps = bounding_primes(lo, limit)
     ks = np.diff(ps) - 1
@@ -470,9 +480,7 @@ def verify_grimm_summary(limit: int, table: PrimeTable, lo: int = 2) -> VerifySu
         for a, values in _colliding_runs(bps, blo, bhi, table):
             p = int(bps[a])
             k = int(bps[a + 1]) - p - 1
-            if _smooth_sdr(values, k, table):
-                continue
-            res = has_representation(p, k, table)
+            res = _smooth_sdr(p, k, values, table)
             if not res.representable:
                 failures.append(GrimmRunReport(p, k, res))
     return VerifySummary(

@@ -1,12 +1,15 @@
+import argparse
+import hashlib
 import io
 import json
 import os
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import grimmsmooth
 from grimmsmooth import build_rho_table
-from grimmsmooth.cli import replay_manifest, run
+from grimmsmooth.cli import _PARSER, replay_manifest, run
 from oracles import (
     psi_buchstab, psi_large_y, ram_sum_miller_rabin, sieve_primes, smooth_count_direct,
     trial_primes,
@@ -103,17 +106,6 @@ def test_psi_and_window(tmp_path):
     lines = out.splitlines()
     assert lines[0] == "x,z,y,count,pi_y,bound_established,smooth_head,smooth_tail"
     assert lines[1] == "10,8,3.0,3,2,true,12,18"
-
-
-def test_grimm_bound(tmp_path):
-    code, out = invoke(
-        ["grimm-bound", "--x", "5000", "--y", "400", "--z", "400"], tmp_path
-    )
-    assert code == 0
-    row = out.splitlines()[1].split(",")
-    assert row[3] in ("true", "false")
-    if row[3] == "true":
-        assert int(row[4]) == 400
 
 
 def test_rho_point_and_dump(tmp_path):
@@ -266,22 +258,18 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["ram-sum", "--x", "100", "--alpha", "0.4", "--workers", "1"], "--workers"),
         (["psi", "--x", "10", "--y", "nan"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "nan"], "--y"),
-        (["grimm-bound", "--x", "100", "--y=-inf", "--z", "5"], "--y"),
+        (["psi-window", "--x", "100", "--z", "5", "--y=-inf"], "--y"),
         (["psi", "--x", "10", "--y", "inf"], "--y"),
         (["psi", "--x", "0", "--y", "-1"], "--y"),
         (["psi", "--x", "10", "--y", "-1"], "--y"),
         (["psi", "--x", "10", "--y", "0"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "-1"], "--y"),
         (["psi-window", "--x", "10", "--z", "5", "--y", "0"], "--y"),
-        (["grimm-bound", "--x", "100", "--y=-1", "--z", "5"], "--y"),
-        (["grimm-bound", "--x", "100", "--y", "0", "--z", "5"], "--y"),
         # pi(y) is counted from a pi table, which needs isqrt(y) <= 2^24
         (["psi-window", "--x", "10", "--z", "5", "--y", str(2**48 + 2**25 + 1)], "--y"),
-        (["grimm-bound", "--x", "10", "--y", "1e15", "--z", "5"], "--y"),
         # a window must end within int64, where its sieve does not wrap
         (["psi-window", "--x", str(2**63 - 100), "--z", "400", "--y", "1e5"], "--x"),
-        (["grimm-bound", "--x", str(10**20), "--y", "1000", "--z", "1000"], "--x"),
-        (["grimm-bound", "--x", str(2**63 - 5), "--y", "1000", "--z", "5"], "--x"),
+        (["psi-window", "--x", str(2**63 - 5), "--z", "5", "--y", "1000"], "--x"),
         (["exceptional-scan", "--x-max", str(2**62 + 1), "--eps", "0.1"], "--x-max"),
         (["exceptional-scan", "--x-max", "19223372036854775000", "--eps", "0.1",
           "--stride", str(10**18)], "--x-max"),
@@ -312,7 +300,6 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["exceptional-scan", "--x-max", "100", "--eps", "0.6"], "--eps"),
         (["psi-window", "--x", "10", "--z", "0", "--y", "5"], "--z"),
         (["psi-window", "--x", "-3", "--z", "5", "--y", "5"], "--x"),
-        (["grimm-bound", "--x", "10", "--y", "5", "--z", "0"], "--z"),
         # a checkpoint path that cannot be opened
         (["verify-grimm", "--limit", "100", "--checkpoint", str(tmp_path)], "--checkpoint"),
         (["gap-scan", "--limit", "100", "--checkpoint", str(tmp_path / "no" / "c")],
@@ -325,7 +312,6 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["represent", "--n", str(10**22), "--k", "3"], "--n"),
         (["ram-sum", "--x", str(10**19), "--alpha", "0.5"], "--x"),
         (["psi-window", "--x", str(10**12), "--z", "600", "--y", "1e10"], "--y"),
-        (["grimm-bound", "--x", str(10**12), "--z", "600", "--y", "1e10"], "--y"),
     ]:
         capsys.readouterr()
         code, out = invoke(argv, tmp_path)
@@ -336,6 +322,43 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         code, out = invoke(["verify-grimm", "--limit", "100"], tmp_path, manifest=path)
         assert (code, out) == (2, "limit,runs,failures,max_k,max_k_p\n100,23,0,7,89\n")
         assert f"--manifest {path}" in capsys.readouterr().err
+
+
+def test_search_past_its_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the diagnostic cap of g and g1 is a resource limit: the run exits 2
+    # naming --n, where exit 1 would claim a counterexample
+    monkeypatch.setattr(grimmsmooth.grimm, "_search_cap", lambda n: 3)
+    for cmd in ("g", "g1"):
+        capsys.readouterr()
+        assert invoke([cmd, "--n", "1000000"], tmp_path) == (2, ""), cmd
+        err = capsys.readouterr().err
+        assert "--n 1000000" in err and "diagnostic cap 3" in err, cmd
+
+
+def test_grimm_bound_manifest_no_longer_replays(tmp_path, capsys):
+    # grimm-bound printed nothing that psi-window does not, and is gone: a
+    # manifest it recorded names an unknown subcommand and exits 2, unprinted
+    mpath = tmp_path / "gb.manifest.json"
+    argv = ["psi-window", "--x", "5000", "--z", "400", "--y", "400"]
+    assert invoke(argv, tmp_path, manifest=mpath)[0] == 0
+    data = json.loads(mpath.read_text())
+    mpath.write_text(json.dumps(data | {"subcommand": "grimm-bound"}))
+    capsys.readouterr()
+    assert replay_manifest(str(mpath)) == (2, hashlib.sha256(b"").hexdigest())
+    assert "invalid choice: 'grimm-bound'" in capsys.readouterr().err
+
+
+def test_readme_command_block_names_every_subcommand():
+    # the fenced block under the README's "Command line" heading shows each
+    # subcommand of the parser, and no other
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    named = {
+        line.split()[1] for line in block.splitlines()
+        if line.startswith("grimmsmooth ")
+    }
+    sub = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
 
 
 def test_runs_in_one_process_share_no_parse_state(tmp_path):
@@ -357,14 +380,10 @@ def test_runs_in_one_process_share_no_parse_state(tmp_path):
 
 def test_window_table_reaches_the_sieving_bound_only(tmp_path):
     # the window near 1e12 sieves with the primes to y = 600 alone
-    mpath = tmp_path / "gb.manifest.json"
-    for argv in (
-        ["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600"],
-        ["psi-window", "--x", "1000000000000", "--z", "600", "--y", "600"],
-    ):
-        base = invoke(argv, tmp_path, manifest=mpath)
-        assert base[0] == 0
-        assert json.loads(mpath.read_text())["table_limit"] == 600
+    mpath = tmp_path / "pw.manifest.json"
+    argv = ["psi-window", "--x", "1000000000000", "--z", "600", "--y", "600"]
+    assert invoke(argv, tmp_path, manifest=mpath)[0] == 0
+    assert json.loads(mpath.read_text())["table_limit"] == 600
     # and with y past x + z, with the primes to x + z = 150
     argv = ["psi-window", "--x", "100", "--z", "50", "--y", "1000000"]
     assert invoke(argv, tmp_path, manifest=mpath)[0] == 0

@@ -50,8 +50,6 @@ DIGESTS = [
      "f97e6cb507d47378cbbadf38c67d21ac0dd41066dbebcd0bdc4c2d0e4d3a58af"),
     # a window sieved with the primes to y = 600 near 1e12: one smooth value
     # (1000000000212), against pi(600) = 109
-    (["grimm-bound", "--x", "1000000000000", "--y", "600", "--z", "600"],
-     "2b1163c0b87605bf3f39d642450003572c0839ce066faa99bdc3c36b77b19f13"),
     (["psi-window", "--x", "1000000000000", "--z", "600", "--y", "600"],
      "81546a357e481423635f3c7c310d2390a05feda074abf85dac972e27a1597696"),
     # y > x + z: every value of the window is smooth, and pi_y = pi(1e6)

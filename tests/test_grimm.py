@@ -275,14 +275,13 @@ SHARDS = ([(2, 100_000)], [(2, 40_000), (40_000, 100_000)])
 
 def test_collision_detector_fires(monkeypatch, table_1e5, lpf_1e5):
     # the summary decides exactly the runs whose lpf values collide, each
-    # from its elements with lpf below k, and calls the full matching for
-    # none of them, since every one is representable
+    # from its elements with lpf below k, and matches no run whole
     seen = []
     decide = grimm._smooth_sdr
 
-    def record(values, k, table):
-        seen.append((sorted(values), k))
-        return decide(values, k, table)
+    def record(p, k, values, table):
+        seen.append((p, k, sorted(values)))
+        return decide(p, k, values, table)
 
     monkeypatch.setattr(grimm, "_smooth_sdr", record)
     monkeypatch.setattr(
@@ -293,8 +292,20 @@ def test_collision_detector_fires(monkeypatch, table_1e5, lpf_1e5):
             seen.clear()
             s = verify_grimm_summary(hi, table_1e5, lo=lo)
             expected = colliding_runs(lpf_1e5, lo, hi)
-            assert expected and seen == [(w, k) for _, k, w in expected], (lo, hi)
+            assert expected and seen == expected, (lo, hi)
             assert s.failures == ()
+    # across 2^31, where the pieces turn int64, and past 2^32, whole and
+    # split, no run is matched whole either (none collides there)
+    past = 2**32 + 12345
+    for lo, mid, hi, table in [
+        (2**31 - 40_000, 2**31, 2**31 + 40_000, PrimeTable(50_000)),
+        (past, past + 2**20, past + 2**21, PrimeTable(isqrt(past + 2**22) + 1)),
+    ]:
+        whole = verify_grimm_summary(hi, table, lo=lo)
+        parts = verify_grimm_summary(mid, table, lo=lo).merge(
+            verify_grimm_summary(hi, table, lo=mid)
+        )
+        assert whole == parts and whole.runs and whole.failures == (), lo
 
 
 def run_smooth_elements(ps, a, blo, lpf):
@@ -369,24 +380,19 @@ def test_smooth_keying_past_2_32():
 
 
 def test_collision_failures_carry_the_witness(monkeypatch, table_1e5, lpf_1e5):
-    # a run the smooth elements' matching refuses is decided again by
-    # has_representation, and reported with the witness it gives
-    monkeypatch.setattr(grimm, "_smooth_sdr", lambda values, k, table: False)
-    expected = tuple(
-        GrimmRunReport(p, k, has_representation(p, k, table_1e5))
-        for p, k, _ in colliding_runs(lpf_1e5, 2, 100_000)
+    # a run the smooth elements' matching refuses is reported with the
+    # witness that matching gives, in run order, and never matched whole
+    def refuse(p, k, values, table):
+        return RepresentationResult(False, hall_witness=frozenset(v - p for v in values))
+
+    monkeypatch.setattr(grimm, "_smooth_sdr", refuse)
+    monkeypatch.setattr(
+        grimm, "has_representation", lambda *run: pytest.fail(f"matched {run} whole")
     )
-    # no such run fails the full matching, so none is reported
-    assert all(r.result.representable for r in expected)
-    for shards in SHARDS:
-        assert all(verify_grimm_summary(hi, table_1e5, lo=lo).failures == ()
-                   for lo, hi in shards)
-
-    def refuse(p, k, table):
-        return RepresentationResult(False, hall_witness=frozenset({1, k}))
-
-    monkeypatch.setattr(grimm, "has_representation", refuse)
-    expected = tuple(GrimmRunReport(r.p, r.k, refuse(r.p, r.k, None)) for r in expected)
+    expected = tuple(
+        GrimmRunReport(p, k, refuse(p, k, values, None))
+        for p, k, values in colliding_runs(lpf_1e5, 2, 100_000)
+    )
     for shards in SHARDS:
         failures = sum((verify_grimm_summary(hi, table_1e5, lo=lo).failures
                         for lo, hi in shards), ())
@@ -399,16 +405,26 @@ def smooth_elements(n, k, table):
     return [n + 1 + i for i, q in enumerate(lpf) if q < k]
 
 
+def check_smooth_witness(p, k, witness):
+    """A refusal's Hall witness, by trial division: offsets in 1..k whose
+    elements have every prime below k, fewer of them than offsets."""
+    assert witness and all(1 <= i <= k for i in witness)
+    primes = [distinct_primes(p + i) for i in witness]
+    assert all(q < k for qs in primes for q in qs)
+    assert len(set().union(*primes)) < len(witness)
+
+
 def test_smooth_sdr_refuses_hall_violations(table_1e4):
     # three elements over the two primes {2, 3}, and others whose primes
-    # below k are fewer than the elements
-    for values, k in [
-        ([6, 12, 18], 13),
-        ([4, 8], 5),
-        ([10, 20, 40, 50], 11),
-        ([6, 9, 12, 15, 35, 49], 8),  # 6, 9 and 12 over {2, 3}
+    # below k are fewer than the elements, as offsets from p = 0
+    for values, k, witness in [
+        ([6, 12, 18], 13, {6, 12, 18}),
+        ([4, 8], 5, {4, 8}),
+        ([10, 20, 40, 50], 11, {10, 20, 40}),
+        ([6, 9, 12, 15, 35, 49], 8, {6, 9, 12}),  # 6, 9 and 12 over {2, 3}
     ]:
-        assert not grimm._smooth_sdr(values, k, table_1e4), values
+        res = grimm._smooth_sdr(0, k, values, table_1e4)
+        assert res.hall_witness == witness, values
 
 
 def test_smooth_sdr_accepts_distinct_representatives(table_1e4):
@@ -419,7 +435,7 @@ def test_smooth_sdr_accepts_distinct_representatives(table_1e4):
         ([4, 9, 25, 49], 8),
         ([12, 18], 5),
     ]:
-        assert grimm._smooth_sdr(values, k, table_1e4), values
+        assert grimm._smooth_sdr(0, k, values, table_1e4).representable, values
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,10 +445,11 @@ def test_smooth_sdr_accepts_distinct_representatives(table_1e4):
 def test_smooth_sdr_decides_every_window_property(table_1e4, n, k):
     # any k consecutive integers, primes and all, are representable exactly
     # when their elements with lpf below k are; short windows near small n
-    # often are not
-    assert grimm._smooth_sdr(smooth_elements(n, k, table_1e4), k, table_1e4) == (
-        has_representation(n, k, table_1e4).representable
-    ), (n, k)
+    # often are not, and the smooth elements' witness refutes the window
+    res = grimm._smooth_sdr(n, k, smooth_elements(n, k, table_1e4), table_1e4)
+    assert res.representable == has_representation(n, k, table_1e4).representable, (n, k)
+    if not res.representable:
+        check_smooth_witness(n, k, res.hall_witness)
 
 
 def check_every_run(lo, hi, table):
@@ -442,8 +459,9 @@ def check_every_run(lo, hi, table):
     for p, q in zip(ps, ps[1:]):
         k = q - p - 1
         if k:
-            decided = grimm._smooth_sdr(smooth_elements(p, k, table), k, table)
-            assert decided == has_representation(p, k, table).representable, (p, k)
+            decided = grimm._smooth_sdr(p, k, smooth_elements(p, k, table), table)
+            whole = has_representation(p, k, table)
+            assert decided.representable == whole.representable, (p, k)
 
 
 @settings(max_examples=20, deadline=None)
