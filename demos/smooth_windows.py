@@ -20,9 +20,10 @@ from grimmsmooth import (
 
 table = PrimeTable(1_000_000)
 
-# exact global counts
-print("Psi(10, 3)      =", psi(10, 3, table), "   (1,2,3,4,6,8,9)")
-print("Psi(10^6, 10^3) =", psi(10**6, 10**3, table))
+# exact global counts, by Buchstab's recursion down to pi-table leaves: no
+# prime table and no sieve
+print("Psi(10, 3)      =", psi(10, 3), "   (1,2,3,4,6,8,9)")
+print("Psi(10^6, 10^3) =", psi(10**6, 10**3))
 
 # Dickman's density: Psi(x, x^(1/t))/x -> rho(t); the approach is slow,
 # with a visible O(1/log x) excess at desk scale
@@ -30,7 +31,7 @@ rt = build_rho_table(6.0)
 print("\n x        Psi(x, sqrt(x))/x   rho(2)")
 for e in (4, 5, 6):
     x = 10**e
-    ratio = psi(x, math.isqrt(x), table) / x
+    ratio = psi(x, math.isqrt(x)) / x
     print(f" 10^{e}:    {ratio:.6f}          {rho(2.0, rt):.6f}")
 
 print("\nrho on the integer grid (via the tabulated delay equation):")

@@ -45,7 +45,6 @@ from .smooth import (
     exceptional_scan,
     grimm_upper_bound,
     psi,
-    psi_part,
     psi_window,
 )
 from .sums import (
@@ -97,7 +96,6 @@ __all__ = [
     "pi_table",
     "prime_pi",
     "psi",
-    "psi_part",
     "psi_window",
     "r_d",
     "ram_sum",

@@ -7,15 +7,15 @@ Determinism contract: for fixed flags the emitted bytes are identical across
 runs and across ``--workers`` settings.  Work is split into fixed-size shards
 whose boundaries depend only on the requested range (never on the worker
 count).  One generator, :func:`_shards`, runs the shards of every sharded
-command (verify-grimm, gap-scan, psi, exceptional-scan): it walks the range
+command (verify-grimm, gap-scan, exceptional-scan): it walks the range
 lazily, computes in a fork pool or in this process, reads and appends the
 per-shard checkpoint, and yields the results in shard order.  A shard
 function takes only its bounds, a closure over the rest of the handler's
-inputs.  Each handler folds the results with its summary's ``merge``
-(verify-grimm, gap-scan and exceptional-scan) or adds them (psi), and only
-these four commands take ``--workers``.  Neither the shards nor their
-results are ever held as a list, and the output is hashed and written piece
-by piece as it is made.
+inputs.  Each handler folds the results with its summary's ``merge``, and
+only these three commands take ``--workers``; every other command, psi
+included, runs in this process.  Neither the shards nor their results are
+ever held as a list, and the output is hashed and written piece by piece
+as it is made.
 
 Exit codes: 0 success, 1 verification failure found (a Grimm counterexample
 or a violated bound -- newsworthy, not an error), 2 usage/resource errors.
@@ -48,8 +48,8 @@ from .primes import (
     segments,
 )
 from .smooth import (
-    PSI_MAX_X, WINDOW_MAX_END, ExceptionalScanReport, exceptional_scan, psi_part,
-    psi_table_limit, psi_window, scan_c0, window_table_limit,
+    WINDOW_MAX_END, ExceptionalScanReport, exceptional_scan, psi, psi_window, scan_c0,
+    window_table_limit,
 )
 from .sums import phi_sum, r_d, ram_sum, window_exponent_floor
 
@@ -60,6 +60,11 @@ ENV_WORKERS = "GRIMMSMOOTH_WORKERS"
 # Fixed shard span for the range scans; independent of worker count so that
 # the merged output is too.
 SHARD_SPAN = 1 << 21
+
+# Largest integer taken for psi's --x and exceptional-scan's --x-max and
+# --stride.  It bounds outside input, and keeps the scan's windows
+# (n, n + n^eps] within its int64 arrays.
+MAX_INPUT = 2**62
 
 
 def _fmt(v) -> str:
@@ -326,25 +331,13 @@ def _h_dusart(args):
 
 def _h_psi(args):
     x, y = args.x, args.y
-    bound = psi_table_limit(x, y)
-    meta = {"x": x, "y": y}
-    if bound is None:
-        # the prime regime counts from pi tables and builds no prime table.
-        # It runs as one shard (0, x] in this process, and its header
-        # records span x: a checkpoint of smooth counts, or of the 2^21-value
-        # prime-regime shards of earlier versions, for the same (x, y) holds
-        # other shares and must not resume.
-        if math.floor(y) < x and isqrt(x) > PI_TABLE_MAX_ROOT:
-            raise ValueError(
-                f"--x must be below {(PI_TABLE_MAX_ROOT + 1) ** 2} when "
-                f"isqrt(x) <= y < x, the pi table's bound; got {x}"
-            )
-        table, span = None, max(x, 1)  # x = 0 has no shard
-        meta["regime"] = "primes"
-    else:
-        table, span = _get_table(bound, args, "--y"), SHARD_SPAN
-    shares = _shards(args, 0, x, span, lambda ab: psi_part(x, y, *ab, table), meta)
-    return [{"x": x, "y": y, "psi": sum(shares)}], 0
+    # the pi table of x is refused before it is allocated
+    if math.floor(y) < x and isqrt(x) > PI_TABLE_MAX_ROOT:
+        raise ValueError(
+            f"--x must be below {(PI_TABLE_MAX_ROOT + 1) ** 2} unless --y reaches "
+            f"it, the pi table's bound; got {x}"
+        )
+    return [{"x": x, "y": y, "psi": psi(x, y)}], 0
 
 
 def _h_psi_window(args):
@@ -498,13 +491,12 @@ def _non_negative(cast):
 _window_n = _checked(int, lambda v: v >= 2, "at least 2")
 _window_k = _checked(int, lambda v: 1 <= v <= MAX_WINDOW, f"in [1, {MAX_WINDOW}]")
 _finite_float = _checked(float, math.isfinite, "finite")
-_smooth_y = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _ram_alpha = _checked(float, lambda v: 0 < v <= 0.5, "in (0, 1/2]")
 # the range scans stay within 2^31, the range they are tested on
 _scan_limit = _checked(int, lambda v: 0 < v <= MAX_LIMIT, f"in [1, {MAX_LIMIT}]")
-_psi_x = _checked(int, lambda v: 0 <= v <= PSI_MAX_X, f"in [0, {PSI_MAX_X}]")
-# exceptional-scan's sampled n, and its stride, stay within psi's headroom
-_scan_n = _checked(int, lambda v: 0 < v <= PSI_MAX_X, f"in [1, {PSI_MAX_X}]")
+_psi_x = _checked(int, lambda v: 0 <= v <= MAX_INPUT, f"in [0, {MAX_INPUT}]")
+_scan_n = _checked(int, lambda v: 0 < v <= MAX_INPUT, f"in [1, {MAX_INPUT}]")
 _rho_t_max = _checked(float, lambda v: 1 <= v <= MAX_T, f"in [1, {MAX_T}]")
 _rho_step = _checked(
     float, lambda v: nodes_per_unit(v) is not None,
@@ -563,10 +555,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("dusart-check", _h_dusart, help="explicit pi and theta bounds up to limit")
     p.add_argument("--limit", type=_scan_limit, required=True)
 
-    p = add("psi", _h_psi, sharded=True, help="global smooth count Psi(x, y)")
+    p = add("psi", _h_psi, help="global smooth count Psi(x, y)")
     p.add_argument("--x", type=_psi_x, required=True)
-    p.add_argument("--y", type=_smooth_y, required=True)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--y", type=_positive_finite, required=True)
 
     p = add(
         "psi-window", _h_psi_window,
@@ -574,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--x", type=_non_negative(int), required=True)
     p.add_argument("--z", type=_positive(int), required=True)
-    p.add_argument("--y", type=_smooth_y, required=True)
+    p.add_argument("--y", type=_positive_finite, required=True)
 
     p = add("rho", _h_rho, help="Dickman rho at a point, or the whole grid")
     p.add_argument("--t", type=float, default=None)
@@ -588,13 +579,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--x-max", type=_scan_n, required=True)
     p.add_argument("--eps", type=_scan_eps, required=True)
-    p.add_argument("--c0", type=_positive(float), default=None)
+    p.add_argument("--c0", type=_positive_finite, default=None)
     p.add_argument("--stride", type=_scan_n, default=1)
 
     p = add("ram-sum", _h_ram_sum, help="scaled prime-counting sum S(x, alpha)")
     p.add_argument("--x", type=_positive(int), required=True)
     p.add_argument("--alpha", type=_ram_alpha, required=True)
-    p.add_argument("--delta-target", type=float, default=None)
+    p.add_argument("--delta-target", type=_finite_float, default=None)
 
     p = add("rd", _h_rd, help="floor-difference sum R_d")
     p.add_argument("--x", type=_positive(int), required=True)

@@ -30,17 +30,17 @@ arithmetic (:func:`_hits`).  It feeds one ``np.maximum.at`` for the lpf
 stores (every sparse prime exceeds every dense one) and
 ``np.multiply.at`` on ``smooth``, repeated on the hits whose cofactor is
 still divisible, one pass per power.  A block with no sparse prime takes
-the strided views alone, as every full 2^20-value block of psi with
-y <= 23,301 does, and then the narrowest integer types that hold ``smooth``
-and ``lpf``.  One integer division ``values // smooth`` leaves the residual
-cofactor; :func:`_bound_smooth` needs none, since a value is smooth over the
-sieving primes exactly when ``smooth`` equals it.  That is how verify finds
-the elements that can share a largest prime factor in a run (it walks each
-2^21-value block in pieces of ``grimm._PIECE`` values, so that the sieve's
-arrays stay in cache, and sieves each piece with the primes below the
-longest run that touches it only), and how ``smooth.psi_window`` (psi's
-blocks when y < sqrt(x) and the short windows alike) and the exceptional
-scan count the y-smooth values of a range, whatever its size: a bound above
+the strided views alone, as every full 2^20-value block of a
+``smooth.psi_window`` with y <= 23,301 does, and then the narrowest
+integer types that hold ``smooth`` and ``lpf``.  One integer division
+``values // smooth`` leaves the residual cofactor; :func:`_bound_smooth`
+needs none, since a value is smooth over the sieving primes exactly when
+``smooth`` equals it.  That is how verify finds the elements that can
+share a largest prime factor in a run (it walks each 2^21-value block in
+pieces of ``grimm._PIECE`` values, so that the sieve's arrays stay in
+cache, and sieves each piece with the primes below the longest run that
+touches it only), and how ``smooth.psi_window`` and the exceptional scan
+count the y-smooth values of a range, whatever its size: a bound above
 sqrt(hi) only sends more primes to the hit list.  For :func:`prime_rows`
 and :func:`lpf_range` the bound is sqrt(hi), and a residual r > 1 is then
 necessarily prime (it has no factor <= sqrt(hi) left) and is the element's

@@ -32,7 +32,9 @@ memory, and :func:`prime_pi` reads pi(x) off it.  As in Meissel-Lehmer,
 the recursion splits at the cube root: the primes p with p^3 <= x take
 one numpy pass each, and every prime above x^(1/3) is applied in one
 batched pass, so a table makes pi(x^(1/3)) per-prime passes, not
-pi(sqrt(x)).  psi's prime regime is built on it.
+pi(sqrt(x)).  ``smooth.psi`` reads every count it makes off this table,
+and walks its leaves' (leaf, k) pairs with the same chunked enumerator,
+:func:`_pairs`, as the batched pass.
 """
 
 from __future__ import annotations
@@ -216,26 +218,38 @@ def _strike(small: np.ndarray, large: np.ndarray, quot: np.ndarray, x: int, p: i
 def _strike_above_cbrt(small: np.ndarray, large: np.ndarray, x: int, ps: np.ndarray) -> None:
     """The passes of the primes ``ps`` of :func:`pi_table`, all with
     isqrt(x) >= p > x^(1/3), as one sum over the pairs (p, k <= x // p^2):
-    ``large[k]`` -= pi(x // (k p)) - pi(p - 1), ``_PI_CHUNK`` pairs at a
-    time, with ``np.subtract.at`` adding up the pairs that share a k."""
-    r = len(small) - 1
-    counts = x // (ps * ps)
-    ends = np.cumsum(counts)  # the pairs of ps[i] are numbered first[i] .. ends[i] - 1
-    first = ends - counts
-    for s in range(0, int(ends[-1]), _PI_CHUNK):
-        e = min(s + _PI_CHUNK, int(ends[-1]))  # the pairs s .. e - 1, of ps[i:j]
-        i = int(np.searchsorted(ends, s, side="right"))
-        j = int(np.searchsorted(ends, e - 1, side="right")) + 1
-        run = np.minimum(ends[i:j], e) - np.maximum(first[i:j], s)
-        p = np.repeat(ps[i:j], run)
-        k = np.arange(s + 1, e + 1) - np.repeat(first[i:j], run)
-        m = k * p
-        inside = m <= r
-        term = np.empty(len(m), dtype=np.int64)
-        term[inside] = large[m[inside]]
-        term[~inside] = small[x // m[~inside]]
+    ``large[k]`` -= pi(x // (k p)) - pi(p - 1), a chunk of :func:`_pairs`
+    at a time, with ``np.subtract.at`` adding up the pairs that share a k."""
+    for i, j in _pairs(x // (ps * ps)):
+        p, k = ps[i], j + 1
+        term = _pi_at(small, large, x, k * p)
         term -= small[p - 1]
         np.subtract.at(large, k, term)
+
+
+def _pairs(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield every pair (i, j) with 0 <= j < counts[i], ordered by i and
+    then j, as two int64 arrays of at most ``_PI_CHUNK`` pairs."""
+    ends = np.cumsum(counts)
+    first = ends - counts  # the pairs of i are numbered first[i] .. ends[i] - 1
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, _PI_CHUNK):
+        e = min(s + _PI_CHUNK, total)  # the pairs s .. e - 1, of the i in [a, b)
+        a = int(np.searchsorted(ends, s, side="right"))
+        b = int(np.searchsorted(ends, e - 1, side="right")) + 1
+        run = np.minimum(ends[a:b], e) - np.maximum(first[a:b], s)
+        i = np.repeat(np.arange(a, b), run)
+        yield i, np.arange(s, e) - first[i]
+
+
+def _pi_at(small: np.ndarray, large: np.ndarray, x: int, d: np.ndarray) -> np.ndarray:
+    """pi(x // d) for each d >= 1 of ``d``, off x's :func:`pi_table`:
+    ``large[d]`` for d <= isqrt(x), ``small[x // d]`` above it."""
+    inside = d <= len(small) - 1
+    out = np.empty(len(d), dtype=np.int64)
+    out[inside] = large[d[inside]]
+    out[~inside] = small[x // d[~inside]]
+    return out
 
 
 def prime_pi(x: int) -> int:

@@ -15,30 +15,19 @@ pi(y) off that table when floor(y) <= x+z, and counts it with
 :func:`primes.prime_pi` otherwise, so its y is bounded by the pi table's
 isqrt(y) <= 2^24, not by the 2^31 table limit.)
 
-:func:`psi` splits the same two regimes at ``floor(y) >= isqrt(x)``, taken
-between Python ints:
+:func:`psi` counts Psi(x, y) globally without a sieve, by Buchstab's
+recursion on the largest prime factor (the scheme of Hunter and Sorenson,
+Math. Comp. 66, 1997):
 
-* in the prime regime every n <= x has at most one prime factor above y,
-  so Psi(x, y) = floor(x) - sum over primes y < p <= x of floor(x/p), the
-  first step of Buchstab's identity.  Grouped by k = floor(x/p), that sum
-  needs pi only at the values x // k, which :func:`primes.pi_table` holds
-  for all k at once: no prime above y is listed, and a call costs
-  O(x^(3/4) / log x) for the table of x (0.05 s at x = 1e10), plus the
-  smaller tables for pi(max(a, floor(y))) and, for a part (a, b] with
-  b < x, for pi(b);
-* in the sieve regime (floor(y) < isqrt(x)) the count is the window count
-  of :func:`psi_window`, so each block is sieved with the primes <= y and
-  nothing is divided.
+    Psi(v, p) = 1 + sum over primes q <= min(p, v) of Psi(v // q, q).
 
-:func:`psi_part` is the share of a range (a, b] of (0, x] in Psi(x, y): in
-the prime regime (b - a) minus floor(x/p) for the primes p > y in (a, b],
-in the sieve regime the y-smooth count of (a, b].  The shares of any
-partition of (0, x] add up to Psi(x, y), and :func:`psi` is the share of
-(0, x].  The CLI runs the sieve regime on fixed shards (a, a + 2^21] of
-(0, x] in parallel and adds the shares in shard order, so x is limited only
-by ``PSI_MAX_X`` = 2^62, the headroom of the int64 arrays, not by time.  It
-runs the prime regime as one share of (0, x], with no pool; there the
-pi table needs isqrt(x) <= 2^24 unless y >= x.
+A node m, y-smooth with largest prime p, is expanded until
+(p + 1)^2 > v = x // m.  Then no n <= v has two prime factors above p, and
+Psi(v, p) is the first step of Buchstab's identity, whose every pi value
+is an entry of the one :func:`primes.pi_table` of x.  When floor(y) >=
+isqrt(x), compared as Python ints, the root is such a leaf, at the cost
+of the table of x and the smaller one of pi(y).  psi builds no prime
+table, and needs isqrt(x) <= 2^24 unless y >= x.
 
 The payoff is the window criterion: if a window (x, x+z] holds more than
 pi(y) many y-smooth numbers, those elements alone overwhelm the supply of
@@ -69,10 +58,7 @@ import numpy as np
 
 from .dickman import build_rho_table, rho
 from .intervals import _bound_smooth
-from .primes import PrimeTable, TableLimitError, pi_table, prime_pi
-
-# Largest x for psi: the sieve arrays hold the values themselves as int64.
-PSI_MAX_X = 2**62
+from .primes import PrimeTable, TableLimitError, _pairs, _pi_at, pi_table, prime_pi
 
 # Largest x + z for psi_window: the window sieve's int64 arrays hold the
 # values of the window, and past it they wrap.
@@ -129,64 +115,71 @@ class ExceptionalScanReport:
         )
 
 
-def psi_table_limit(x: int, y: float) -> int | None:
-    """The prime table :func:`psi_part` needs for Psi(x, y): floor(y) in the
-    sieve regime, floor(y) < isqrt(x); None in the prime regime."""
-    fy = math.floor(y)
-    return fy if fy < isqrt(x) else None
+def psi(x: int, y: float) -> int:
+    """Psi(x, y), the y-smooth n in (0, x], by Buchstab's recursion down to
+    leaves read off x's :func:`primes.pi_table`.
 
-
-def _prime_multiples(x: int, c: int, b: int) -> int:
-    """The sum of floor(x/p) over the primes c < p <= b, for isqrt(x) <= c.
-
-    Grouped by k = floor(x/p), it is
-    (x//b)(pi(b) - pi(c)) + sum over x//b < k <= x//(c+1) of (pi(x//k) - pi(c)).
-    Since c >= isqrt(x), every such k is <= isqrt(x), so each pi(x//k) is an
-    entry of x's :func:`primes.pi_table`; so is pi(b) when b = x, and pi(c)
-    and pi(b) for b < x come from their own tables.
+    A node m, a product of primes <= y whose largest is p, stands for
+    Psi(x // m, p).  It is a leaf, counted by :func:`_leaf_sum`, when
+    (p + 1)^2 > x // m; otherwise it adds 1 for m itself and is expanded
+    into its children m q, q <= p.  They come off a stack of chunks of
+    :func:`primes._pairs`, so no temporary holds more than
+    ``primes._PI_CHUNK`` children or (leaf, k) pairs.  The root m = 1 has
+    p = floor(y), and is a leaf when floor(y) >= isqrt(x).  With
+    floor(y) >= x the count is x and no table is built; otherwise isqrt(x)
+    must not exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24.
     """
-    if c >= b:
-        return 0
-    large = pi_table(x)[1]
-    pi_b = int(large[1]) if b == x else prime_pi(b)
-    pi_c = prime_pi(c)
-    kb, kc = x // b, x // (c + 1)
-    # pi(c) comes off each term first, so no partial sum exceeds the total
-    return kb * (pi_b - pi_c) + int((large[kb + 1 : kc + 1] - pi_c).sum())
-
-
-def psi_part(x: int, y: float, a: int, b: int, table: PrimeTable | None) -> int:
-    """The share of (a, b] in Psi(x, y), for 0 <= a <= b <= x; the shares of
-    any partition of (0, x] add up to Psi(x, y).
-
-    In the prime regime, floor(y) >= isqrt(x), it is (b - a) minus
-    floor(x/p) for every prime p in (max(a, floor(y)), b], counted from pi
-    tables by :func:`_prime_multiples`; ``table`` is not read, and
-    isqrt(x) must not exceed :data:`primes.PI_TABLE_MAX_ROOT` = 2^24 unless
-    floor(y) >= b.  Otherwise it is the number of y-smooth n in (a, b],
-    :func:`psi_window`'s count of the window (a, b], and the table must
-    reach floor(y).
-    """
-    x, a, b = int(x), int(a), int(b)
-    if not 0 <= a <= b <= x <= PSI_MAX_X:
-        raise ValueError(f"need 0 <= a <= b <= x <= {PSI_MAX_X}, got a={a}, b={b}, x={x}")
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
     if y <= 0:
         raise ValueError(f"y must be positive, got {y}")
-    bound = psi_table_limit(x, y)
-    if bound is None:
-        # p > floor(y) >= isqrt(x), so p^2 > x: no n <= x has two such p
-        return b - a - _prime_multiples(x, max(a, math.floor(y)), b)
-    if table is None or table.limit < bound:
-        raise TableLimitError(
-            f"psi(x={x}, y={y}) needs table limit >= {bound}, "
-            f"have {table.limit if table else None}"
-        )
-    return psi_window(a, b - a, y, table).count if b > a else 0
+    fy = math.floor(y)
+    if fy >= x:
+        return x
+    small, large = pi_table(x)
+    if fy >= isqrt(x):
+        # a leaf whose k <= x // (fy + 1) are <= isqrt(x): pi(x // k) is large[k];
+        # pi(y) comes off each term first, so no partial sum exceeds the total
+        return x - int((large[1 : x // (fy + 1) + 1] - prime_pi(fy)).sum())
+    ps = np.flatnonzero(np.diff(small[: fy + 1])) + 1  # the primes <= y
+    count = 1  # the root, n = 1
+
+    def children(m: np.ndarray, c: np.ndarray):
+        # the children m q, q among the first c primes, as (m q, pi(q) - 1)
+        for i, j in _pairs(c):
+            yield m[i] * ps[j], j
+
+    stack = [children(np.ones(1, dtype=np.int64), np.array([len(ps)]))]
+    while stack:
+        if (chunk := next(stack[-1], None)) is None:
+            stack.pop()
+            continue
+        m, j = chunk
+        p = ps[j]
+        leaf = (p + 1) ** 2 > x // m
+        count += _leaf_sum(x, small, large, m[leaf], p[leaf], j[leaf] + 1)
+        if len(m := m[~leaf]):
+            count += len(m)
+            stack.append(children(m, j[~leaf] + 1))
+    return count
 
 
-def psi(x: int, y: float, table: PrimeTable | None) -> int:
-    """Psi(x, y), the y-smooth n in (0, x]: :func:`psi_part` of (0, x]."""
-    return psi_part(x, y, 0, x, table)
+def _leaf_sum(
+    x: int, small: np.ndarray, large: np.ndarray, m: np.ndarray, p: np.ndarray,
+    pi_p: np.ndarray,
+) -> int:
+    """The sum of Psi(v, p), v = x // m, over the leaves (m, p), each with
+    (p + 1)^2 > v and pi(p) = ``pi_p``.  No n <= v has two prime factors
+    above p, so Psi(v, p) is v minus the primes q in (p, v] counted once
+    for each k <= v // q: pi(x // (m k)) - pi(p) for every k <= v // (p + 1),
+    off x's pi table."""
+    v = x // m
+    total = int(v.sum())
+    for i, j in _pairs(v // (p + 1)):
+        # pi(p) comes off each term first, so no partial sum exceeds the total
+        total -= int((_pi_at(small, large, x, m[i] * (j + 1)) - pi_p[i]).sum())
+    return total
 
 
 def window_table_limit(x: int, z: int, y: float) -> int:
@@ -224,10 +217,11 @@ def psi_window(x: int, z: int, y: float, table: PrimeTable) -> SmoothWindowRepor
     bound = min(fy, x + z)
     for lo in range(x + 1, x + z + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, x + z)
-        # a block is sieved whole: psi sieves with every prime up to y (168
+        # a block is sieved whole: it sieves with every prime up to y (168
         # at y = 1000), and in verify's 2^17-value pieces the numpy calls
-        # per prime and piece cost more than the cache saved (psi(1e8, 1000)
-        # took 1.02-1.11 s in pieces against 0.94-1.06 s whole)
+        # per prime and piece cost more than the cache saved (the window
+        # (0, 1e8] at y = 1000 took 1.02-1.11 s in pieces against
+        # 0.94-1.06 s whole)
         flags = _bound_smooth(lo, hi, bound, table, False)[0]
         # the ends come from argmax on the flags and on their reverse, so no
         # index array is built

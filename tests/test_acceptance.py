@@ -92,7 +92,7 @@ def test_criterion_04_powers_of_two(table_1e5):
 
 def test_criterion_05_dickman_consistency(table_1e6):
     # (a) global smooth count against the Dickman limit at x = 10^6
-    count = psi(10**6, 10**3, table_1e6)
+    count = psi(10**6, 10**3)
     count_oracle = psi_buchstab(10**6, 10**3, trial_primes(1000))
     ratio = count / 10**6
     target = 1 - math.log(2)
@@ -251,7 +251,7 @@ def test_criterion_12_property_suites(table_1e4, table_1e5):
     ys = (2, 3, 5, 17, 97, 500)
     for i, x in enumerate(range(1, 1001)):
         y = ys[i % len(ys)]
-        if psi_window(0, x, y, table_1e4).count != psi(x, y, table_1e4):
+        if psi_window(0, x, y, table_1e4).count != psi(x, y):
             psi_bad.append((x, y))
 
     # floor/sawtooth decomposition identity on 1e4 random tuples

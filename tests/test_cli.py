@@ -10,10 +10,7 @@ from pathlib import Path
 import grimmsmooth
 from grimmsmooth import build_rho_table
 from grimmsmooth.cli import _PARSER, replay_manifest, run
-from oracles import (
-    psi_buchstab, psi_large_y, ram_sum_miller_rabin, sieve_primes, smooth_count_direct,
-    trial_primes,
-)
+from oracles import psi_buchstab, ram_sum_miller_rabin, sieve_primes, trial_primes
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -219,6 +216,13 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (scan + ["--stride", "-1"], "--stride"),
         (scan + ["--stride", "0"], "--stride"),
         (scan + ["--c0", "-1"], "--c0"),
+        # a NaN or infinity would be printed as invalid JSON
+        (scan + ["--c0", "inf"], "--c0"),
+        (scan + ["--c0", "nan"], "--c0"),
+        (["ram-sum", "--x", "100", "--alpha", "0.4", "--delta-target", "nan"],
+         "--delta-target"),
+        (["ram-sum", "--x", "100", "--alpha", "0.4", "--delta-target", "-inf"],
+         "--delta-target"),
         (["exceptional-scan", "--x-max", "-5", "--eps", "0.3"], "--x-max"),
         (["rho", "--t", "40"], "--t"),
         (["rho", "--t", "1", "--step", "0"], "--step"),
@@ -246,14 +250,15 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         (["dusart-check", "--limit", str(2**31 + 1)], "--limit"),
         (["psi", "--x", "-5", "--y", "3"], "--x"),
         (["psi", "--x", str(2**62 + 1), "--y", "3"], "--x"),
-        # the prime regime's pi table is refused before it is allocated
+        # psi's pi table is refused before it is allocated
         (["psi", "--x", str(2**62), "--y", str(2**31)], "--x"),
         (["psi", "--x", str(2**48 + 2**25 + 1), "--y", str(2**24 + 1)], "--x"),
         (["represent", "--n", "-5", "--k", "3"], "--n"),
         (["represent", "--n", "0", "--k", "3"], "--n"),
         (["gap-scan", "--limit", "100", "--workers", "0"], "--workers"),
-        (["psi", "--x", "100", "--y", "3", "--workers", "-3"], "--workers"),
-        # only the four sharded commands can start a pool and take the flag
+        # only the three sharded commands can start a pool and take the flag
+        (["psi", "--x", "100", "--y", "3", "--workers", "2"], "--workers"),
+        (["psi", "--x", "100", "--y", "3", "--checkpoint", "psi.ckpt"], "--checkpoint"),
         (["g", "--n", "100", "--workers", "2"], "--workers"),
         (["ram-sum", "--x", "100", "--alpha", "0.4", "--workers", "1"], "--workers"),
         (["psi", "--x", "10", "--y", "nan"], "--y"),
@@ -450,16 +455,41 @@ def test_one_shard_runs_in_process(tmp_path, monkeypatch):
 
 
 def test_psi_prime_regime_runs_in_process(tmp_path, monkeypatch):
-    import os
+    # psi builds no prime table and never forks, whether floor(y) reaches
+    # isqrt(x) or not, and its manifest records neither
+    import grimmsmooth.primes
 
-    def no_fork():
-        raise OSError("fork refused")
+    def refuse(*args):
+        raise OSError("refused")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    argv = ["psi", "--x", "20000000", "--y", "10000"]
-    base = invoke(argv + ["--workers", "1"], tmp_path)
-    assert base == (0, "x,y,psi\n20000000,10000.0,8532550\n")
-    assert invoke(argv + ["--workers", "2"], tmp_path) == base
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(grimmsmooth.primes.PrimeTable, "__init__", refuse)
+    mpath = tmp_path / "psi.manifest.json"
+    cases = [(20000000, 10000, 8532550), (20000000, 1000, 3421876)]
+    k = 150  # x on both sides of a square, y on both sides of isqrt(x)
+    for x in (k * k - 1, k * k, k * k + 1):
+        r = isqrt(x)
+        for y in (r - 1, r, r + 0.5, 2.5 * r):
+            cases.append((x, y, psi_buchstab(x, y, trial_primes(int(y)))))
+    for x, y, want in cases:
+        argv = ["psi", "--x", str(x), "--y", str(y)]
+        out = (0, f"x,y,psi\n{x},{float(y)},{want}\n")
+        assert invoke(argv, tmp_path, manifest=mpath) == out, argv
+        data = json.loads(mpath.read_text())
+        assert (data["table_limit"], data["worker_count"]) == (None, 1), argv
+
+
+def test_psi_manifest_with_workers_or_checkpoint_no_longer_replays(tmp_path, capsys):
+    # psi runs in one process and keeps no checkpoint: a manifest recorded
+    # with either flag exits 2 on replay, naming the flag, and prints nothing
+    mpath = tmp_path / "psi.manifest.json"
+    assert invoke(["psi", "--x", "5000", "--y", "30"], tmp_path, manifest=mpath)[0] == 0
+    data = json.loads(mpath.read_text())
+    for extra in ({"workers": 2}, {"checkpoint": "psi.ckpt"}):
+        mpath.write_text(json.dumps(data | {"parameters": data["parameters"] | extra}))
+        capsys.readouterr()
+        assert replay_manifest(str(mpath)) == (2, hashlib.sha256(b"").hexdigest())
+        assert f"--{next(iter(extra))}" in capsys.readouterr().err
 
 
 def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
@@ -473,16 +503,8 @@ def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
     bases = [invoke(argv + ["--workers", "1"], tmp_path) for argv in (scan, verify, gaps)]
     assert bases[1][1] == "limit,runs,failures,max_k,max_k_p\n20000,2260,0,51,19609\n"
     assert bases[2][1] == "limit,pairs,violations,max_gap,max_gap_p\n20000,2261,0,52,19609\n"
-    argvs = [scan, verify, gaps]
-    # psi with x on the shard edge 20480 = 160 * 128, one before and one
-    # after it, and y below and above sqrt(x)
-    for x in (20479, 20480, 20481):
-        for y in (23, 200):
-            argvs.append(["psi", "--x", str(x), "--y", str(y)])
-            want = psi_buchstab(x, y, trial_primes(y))
-            bases.append((0, f"x,y,psi\n{x},{float(y)},{want}\n"))
     monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 8 exceptional-scan shards of 384 values
-    for argv, base in zip(argvs, bases):
+    for argv, base in zip((scan, verify, gaps), bases):
         assert invoke(argv + ["--workers", "1"], tmp_path) == base, argv
         assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
 
@@ -715,114 +737,8 @@ def test_torn_checkpoint_resumes(tmp_path):
     assert ck.read_text() == text
 
 
-def test_psi_checkpoint_resumes(tmp_path, monkeypatch, capsys):
-    import grimmsmooth.cli as cli
-
-    monkeypatch.setattr(cli, "SHARD_SPAN", 4096)
-    ck = tmp_path / "psi.ckpt"
-    argv = ["psi", "--x", "20000", "--y", "30", "--checkpoint", str(ck)]
-    full = invoke(argv, tmp_path)
-    assert full == (0, f"x,y,psi\n20000,30.0,{psi_buchstab(20000, 30, trial_primes(30))}\n")
-    text = ck.read_text()
-    lines = text.splitlines(keepends=True)
-    assert len(lines) == 1 + 5  # header + shards (0, 4096], ..., (16384, 20000]
-    assert json.loads(lines[0])["meta"] == {
-        "cmd": "psi", "x": 20000, "y": 30.0, "span": 4096,
-        "version": grimmsmooth.__version__,
-    }
-    # a run killed while writing its third shard's line
-    ck.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
-    assert invoke(argv, tmp_path) == full
-    assert ck.read_text() == text
-    # a checkpoint written for another y is refused
-    capsys.readouterr()
-    other = ["psi", "--x", "20000", "--y", "31", "--checkpoint", str(ck)]
-    assert invoke(other, tmp_path) == (2, "")
-    assert "checkpoint" in capsys.readouterr().err
-
-
-def test_psi_regimes_across_workers(tmp_path, monkeypatch):
-    import grimmsmooth.cli as cli
-
-    monkeypatch.setattr(cli, "SHARD_SPAN", 128)  # 176 or 177 shards
-    mpath = tmp_path / "psi.manifest.json"
-    k = 150
-    for x in (k * k - 1, k * k, k * k + 1):
-        r = isqrt(x)
-        for y in (r - 1, r, r + 0.5, 2.5 * r):
-            want = psi_buchstab(x, y, trial_primes(int(y)))
-            argv = ["psi", "--x", str(x), "--y", str(y)]
-            base = invoke(argv + ["--workers", "1"], tmp_path, manifest=mpath)
-            assert base == (0, f"x,y,psi\n{x},{float(y)},{want}\n"), argv
-            # the prime regime, floor(y) >= isqrt(x), builds no table
-            sieves = int(y) < r
-            limit = json.loads(mpath.read_text())["table_limit"]
-            assert limit == (int(y) if sieves else None), argv
-            assert invoke(argv + ["--workers", "2"], tmp_path) == base, argv
-
-
-def test_psi_checkpoint_of_smooth_counts_is_refused(tmp_path, monkeypatch, capsys):
-    # before the prime regime every psi shard stored its smooth count; for
-    # floor(y) >= isqrt(x) the shards now store other shares of the same sum
-    import grimmsmooth.cli as cli
-
-    monkeypatch.setattr(cli, "SHARD_SPAN", 4096)
-    x, y = 20000, 200.0  # isqrt(x) = 141
-    want = psi_buchstab(x, y, trial_primes(200))
-    cuts = [0, 4096, 8192, 12288, 16384, x]
-    counts = [smooth_count_direct(a + 1, b, y) for a, b in zip(cuts, cuts[1:])]
-    assert sum(counts) == want
-    meta = {
-        "cmd": "psi", "x": x, "y": y, "span": 4096,
-        "version": grimmsmooth.__version__,
-    }
-    ck = tmp_path / "psi.ckpt"
-    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(counts[:3])]
-    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
-    argv = ["psi", "--x", str(x), "--y", str(y), "--checkpoint", str(ck)]
-    capsys.readouterr()
-    assert invoke(argv, tmp_path) == (2, "")
-    assert "checkpoint" in capsys.readouterr().err
-    ck.unlink()
-    assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
-    lines = ck.read_text().splitlines()
-    assert json.loads(lines[0]) == {"meta": meta | {"regime": "primes", "span": x}}
-    shares = [json.loads(line)["result"] for line in lines[1:]]
-    # resuming from the smooth counts would have printed a wrong sum
-    assert sum(shares) == want != sum(counts[:3]) + sum(shares[3:])
-
-
-def test_psi_checkpoint_of_prime_regime_shards_is_refused(tmp_path, capsys):
-    # earlier versions ran the prime regime on 2^21-value shards under the
-    # same header bar the span; resuming such a file with one shard (0, x]
-    # would print the share of (0, 2^21] as Psi(x, y)
-    x, y = 10**7, 10_000.0  # isqrt(x) = 3162
-    ps = sieve_primes(3 * 2**21)
-    cuts = [0, 2**21, 2**22, 3 * 2**21]
-    shares = [
-        (b - a) - int((x // ps[(ps > max(a, y)) & (ps <= b)]).sum())
-        for a, b in zip(cuts, cuts[1:])
-    ]
-    meta = {
-        "cmd": "psi", "x": x, "y": y, "span": 2**21,
-        "version": grimmsmooth.__version__, "regime": "primes",
-    }
-    ck = tmp_path / "psi.ckpt"
-    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(shares)]
-    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
-    argv = ["psi", "--x", str(x), "--y", str(y), "--checkpoint", str(ck)]
-    capsys.readouterr()
-    assert invoke(argv, tmp_path) == (2, "")
-    assert str(ck) in capsys.readouterr().err
-    want = psi_large_y(x, y)
-    assert shares[0] != want
-    ck.unlink()
-    assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
-    assert json.loads(ck.read_text().splitlines()[0]) == {"meta": meta | {"span": x}}
-
-
 def test_resume_interleaves_loaded_and_pooled_shards(tmp_path, monkeypatch):
-    # 40 to 157 shards of 128 values: the first comes from the checkpoint,
+    # 157 shards of 128 values: the first comes from the checkpoint,
     # the rest from a pool of two, and the file grows line by line as if
     # the run had never stopped
     import grimmsmooth.cli as cli
@@ -831,7 +747,6 @@ def test_resume_interleaves_loaded_and_pooled_shards(tmp_path, monkeypatch):
     for argv in (
         ["verify-grimm", "--limit", "20000"],
         ["gap-scan", "--limit", "20000"],
-        ["psi", "--x", "5000", "--y", "30"],
     ):
         ck = tmp_path / "run.ckpt"
         argv = argv + ["--workers", "2", "--checkpoint", str(ck)]

@@ -35,15 +35,17 @@ DIGESTS = [
      "3c11b4d7b39a16de94ea4afc4d958c4c3f7c9f6556d01919be20699405b281a9"),
     (["psi", "--x", "2000000", "--y", "1000"],
      "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
-    (["psi", "--x", "2000000", "--y", "1000", "--workers", "2"],
-     "4f0295bda56883ee855477938e226eee731ba2d46d48a361d69c84293177813c"),
-    # the prime regime, from pi tables: Psi = 8532550 and 3265474310
-    (["psi", "--x", "20000000", "--y", "10000", "--workers", "1"],
-     "de71872e708e9f166537a07e34ef0cf85c2b5723f9ac8fe50ab5b0c02e303cc6"),
-    (["psi", "--x", "20000000", "--y", "10000", "--workers", "2"],
+    # floor(y) >= isqrt(x), where the root is a leaf: Psi = 8532550 and
+    # 3265474310
+    (["psi", "--x", "20000000", "--y", "10000"],
      "de71872e708e9f166537a07e34ef0cf85c2b5723f9ac8fe50ab5b0c02e303cc6"),
     (["psi", "--x", "10000000000", "--y", "100000"],
      "7a32e9e425e7675a0656ec60d4e950d910b35f8ffa79508266218d26e3930d5e"),
+    # Psi = 59244184 and 8800084, as the sieve of (0, x] printed them
+    (["psi", "--x", "1000000000", "--y", "1000"],
+     "30328ff97fbd904759ed9eaa853d6fb0165e24dc9aaaa7fda15415e7f4a99b7d"),
+    (["psi", "--x", "10000000000", "--y", "100"],
+     "ff849be30b59d273a8803a264f641a288144f324b41afdb319e171a8237adfce"),
     (["ram-sum", "--x", "100000000", "--alpha", "0.48"],
      "c8981735bd6577a982b8836dff95067ed7708f50c885df66fa8862275d7bdebe"),
     (["exceptional-scan", "--x-max", "400000", "--eps", "0.3", "--stride", "4"],

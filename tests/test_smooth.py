@@ -14,13 +14,11 @@ import grimmsmooth.smooth as smooth
 from grimmsmooth import (
     ExceptionalScanReport,
     PrimeTable,
-    TableLimitError,
     build_rho_table,
     exceptional_scan,
     g,
     grimm_upper_bound,
     psi,
-    psi_part,
     psi_window,
     rho,
 )
@@ -33,23 +31,23 @@ from oracles import (
 PRIMES_1E4 = trial_primes(10_000)
 
 
-def test_psi_examples(table_1e4):
-    assert psi(10, 3, table_1e4) == 7  # 1,2,3,4,6,8,9
-    assert psi(100, 100, table_1e4) == 100  # y >= x counts everything
-    assert psi(100, 1000, table_1e4) == 100
-    assert psi(0, 5, table_1e4) == 0
-    assert psi(1, 1, table_1e4) == 1  # the unit is smooth for any y >= ...
+def test_psi_examples():
+    assert psi(10, 3) == 7  # 1,2,3,4,6,8,9
+    assert psi(100, 100) == 100  # y >= x counts everything
+    assert psi(100, 1000) == 100
+    assert psi(0, 5) == 0
+    assert psi(1, 1) == 1  # the unit is smooth for any y >= ...
 
 
-def test_psi_against_direct_enumeration(table_1e4):
+def test_psi_against_direct_enumeration():
     for y in (2, 3, 5, 7.5, 13, 50):
-        assert psi(500, y, table_1e4) == smooth_count_direct(1, 500, y), y
+        assert psi(500, y) == smooth_count_direct(1, 500, y), y
 
 
-def test_psi_against_buchstab_recursion(table_1e5):
+def test_psi_against_buchstab_recursion():
     # structurally independent second method
-    for x, y in ((10_000, 30), (50_000, 100), (100_000, 316)):
-        assert psi(x, y, table_1e5) == psi_buchstab(x, y, PRIMES_1E4), (x, y)
+    for x, y in ((10_000, 30), (20_000, 30), (50_000, 100), (100_000, 316)):
+        assert psi(x, y) == psi_buchstab(x, y, PRIMES_1E4), (x, y)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def psi_args(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(psi_args())
-def test_psi_matches_buchstab_property(table_1e4, primes_2e5, args):
+def test_psi_matches_buchstab_property(primes_2e5, args):
     x, y = args
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 50_000))  # one frame per prime <= y
@@ -86,12 +84,12 @@ def test_psi_matches_buchstab_property(table_1e4, primes_2e5, args):
         want = psi_buchstab(x, y, primes_2e5)
     finally:
         sys.setrecursionlimit(limit)
-    assert psi(x, y, table_1e4) == want
+    assert psi(x, y) == want
 
 
-def test_psi_monotone_in_x_and_y(table_1e4):
+def test_psi_monotone_in_x_and_y():
     values = {
-        (x, y): psi(x, y, table_1e4)
+        (x, y): psi(x, y)
         for x in range(0, 10_001, 500)
         for y in (2, 3, 10, 31, 100)
     }
@@ -103,80 +101,117 @@ def test_psi_monotone_in_x_and_y(table_1e4):
         assert row == sorted(row)
 
 
-def test_psi_cap(table_1e4, capsys):
-    # the bound is the int64 headroom of the sieve arrays, 2^62
-    for x, a, b in ((2**62 + 1, 0, 10), (10, -1, 10), (10, 11, 10), (10, 0, 11)):
-        with pytest.raises(ValueError, match="a <= b <= x <= 4611686018427387904"):
-            psi_part(x, 10, a, b, table_1e4)
-    assert psi_part(2**62, 10, 2**62, 2**62, table_1e4) == 0
-    with pytest.raises(TableLimitError):
-        psi(10**9, 2 * 10**4, table_1e4)  # the sieve regime: 2e4 < isqrt(1e9)
-    # the prime regime's pi table stops at isqrt(x) = 2^24, unless y >= x
-    with pytest.raises(ValueError, match="isqrt"):
-        psi(2**62, 2**31, None)
-    assert psi(2**62, 2**62, None) == 2**62
+def test_psi_cap(capsys):
+    # psi needs the pi table of x, isqrt(x) <= 2^24, unless y >= x
+    for y in (10, 2**31):
+        with pytest.raises(ValueError, match="isqrt"):
+            psi(2**62, y)
+    for x in (0, 2**62, 2**62 + 1, 10**30):
+        assert psi(x, x + 1) == x
+    for x, y in ((-1, 5), (10, 0), (10, -1)):
+        with pytest.raises(ValueError):
+            psi(x, y)
+    # the CLI takes --x up to 2^62
     argv = ["psi", "--x", str(2**62 + 1), "--y", "10", "--manifest", "-"]
     assert run(argv, stdout=io.StringIO()) == 2
     assert "argument --x" in capsys.readouterr().err
 
 
-def test_psi_past_the_old_cap(table_1e4):
-    # one block-sized range (1e8, 1e8 + 2^20], counted on its own
+def test_psi_past_the_old_cap():
+    # one block-sized range (1e8, 1e8 + 2^20], as a difference of psi
     hi = 10**8 + 2**20
     want = psi_buchstab(hi, 10, PRIMES_1E4) - psi_buchstab(10**8, 10, PRIMES_1E4)
-    assert psi_part(hi, 10, 10**8, hi, table_1e4) == want
+    assert psi(hi, 10) - psi(10**8, 10) == want
 
 
-def test_psi_ranges_add_up(table_1e4, monkeypatch):
-    x = 50_000
-    cuts = [0, 1, 2, 200, 223, 224, 1000, 2**14, 2**14 + 1, 33_333, x]
-    want = {y: psi_buchstab(x, y, PRIMES_1E4) for y in (23, 300)}
-    # block = 64 cuts every sieved share into many psi_window blocks
-    for block in (None, 64):
+@st.composite
+def window_args(draw):
+    """(x, y) with 1 <= x <= 1e6 and y below, at or above the cube root
+    and isqrt(x), or past x; y is non-integer about half the time."""
+    x = draw(st.integers(1, 10**6))
+    r, c = isqrt(x), round(x ** (1 / 3))
+    y = draw(
+        st.one_of(
+            st.integers(1, max(1, c)),
+            st.integers(max(1, c - 1), max(1, r - 1)),
+            st.integers(max(1, r - 1), r + 1),
+            st.integers(r, x + 10),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    if draw(st.booleans()):
+        y += draw(st.floats(0.0, 1.0, exclude_max=True))
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_args(), st.none())
+# block = 64 cuts the window (0, x] into 79 blocks, on both sides of
+# isqrt(5000) = 70 and of the cube root, 17
+@example((5000, 16), 64)
+@example((5000, 70.5), 64)
+@example((10**6, 1000), None)
+def test_psi_is_the_window_count_of_0_x(table_1e6, args, block):
+    x, y = args
+    with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            monkeypatch.setattr(smooth, "_BLOCK", block)
-        for y in (23, 300):  # below and above isqrt(x) = 223
-            parts = [psi_part(x, y, a, b, table_1e4) for a, b in zip(cuts, cuts[1:])]
-            assert sum(parts) == psi(x, y, table_1e4) == want[y], (block, y)
+            mp.setattr(smooth, "_BLOCK", block)
+        assert psi(x, y) == psi_window(0, x, y, table_1e6).count
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.floats(0.0, 1.5))
 @example(10**6, 0.0)
 @example(2**20 - 1, 0.0)  # x one short of a full block
-def test_psi_matches_large_y_oracle(table_1e4, x, extra):
+def test_psi_matches_large_y_oracle(x, extra):
     # u <= 2: y from ceil(sqrt(x)) up to 2.5 times that, integer or not
     root = isqrt(x - 1) + 1 if x else 1
     y = root * (1.0 + extra)
-    assert psi(x, y, table_1e4) == psi_large_y(x, y)
+    assert psi(x, y) == psi_large_y(x, y)
 
 
-def test_prime_regime_integer_boundary(table_1e4):
-    # floor(y) = 10 = isqrt(100) already takes the prime regime
-    assert psi(100, 10.5, None) == 46 == smooth_count_direct(1, 100, 10.5)
-    assert psi(100, 11, None) == 55 == smooth_count_direct(1, 100, 11)
-    # y >= x counts every n <= x, and the prime regime needs no table
+def test_prime_regime_integer_boundary(monkeypatch):
+    # floor(y) = 10 = isqrt(100) makes the root a leaf, and y just below
+    # it expands the root
+    assert psi(100, 10.5) == 46 == smooth_count_direct(1, 100, 10.5)
+    assert psi(100, 11) == 55 == smooth_count_direct(1, 100, 11)
+    assert psi(100, 9.99) == 46 == smooth_count_direct(1, 100, 9.99)
+    # y >= x counts every n <= x, and builds no table
     for x in (0, 1, 2, 99, 100, 10**12, 10**18, 2**62):
         for y in (x, x + 0.5, 1e300):
             if y > 0:
-                assert psi(x, y, None) == x, (x, y)
+                assert psi(x, y) == x, (x, y)
     # floor(y) is compared with isqrt(x) as an int: at k = 2^31 - 1 the
-    # float sqrt(k^2 - 1) rounds to k, which would call y = k - 1 too small
+    # float sqrt(k^2 - 1) rounds to k, which would call y = k - 1 too small.
+    # Only a root leaf asks prime_pi for pi(y); the pi table is stubbed
+    # (it stops at isqrt(x) = 2^24)
     k = 2**31 - 1
     assert math.sqrt(k * k - 1) == k
-    assert smooth.psi_table_limit(k * k - 1, float(k - 1)) is None
-    assert smooth.psi_table_limit(k * k, float(k - 1)) == k - 1
-    assert smooth.psi_table_limit(k * k, k - 0.5) == k - 1
-    assert smooth.psi_table_limit(k * k, float(k)) is None
-    # y just below sqrt(x) keeps the sieve and its table
-    with pytest.raises(TableLimitError):
-        psi(100, 9.99, None)
+
+    class RootLeaf(Exception):
+        pass
+
+    def root_leaf(v):
+        raise RootLeaf
+
+    empty = np.zeros(1, dtype=np.int64)
+    monkeypatch.setattr(smooth, "pi_table", lambda x: (empty, empty))
+    monkeypatch.setattr(smooth, "prime_pi", root_leaf)
+    for x, y, leaf in (
+        (k * k - 1, float(k - 1), True), (k * k, float(k - 1), False),
+        (k * k, k - 0.5, False), (k * k, float(k), True),
+    ):
+        try:
+            smooth.psi(x, y)
+            assert not leaf, (x, y)
+        except RootLeaf:
+            assert leaf, (x, y)
 
 
 @st.composite
 def boundary_args(draw):
     """x at k^2 - 1, k^2 or k^2 + 1, and y one below, at, half above and
-    2.5 times isqrt(x): both sides of the regime split."""
+    2.5 times isqrt(x): both sides of the split where the root is a leaf."""
     k = draw(st.integers(1, 450))
     x = k * k + draw(st.sampled_from((-1, 0, 1)))
     r = isqrt(x)
@@ -186,24 +221,19 @@ def boundary_args(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(boundary_args(), st.integers(0, 2**20))
-@example((24, 3), 7)  # k = 5: x = k^2 - 1, y = isqrt(x) - 1 sieves
-@example((25, 5), 7)  # y = isqrt(x) takes the prime regime
-@example((202_500, 450), 100_000)
-def test_psi_regime_boundary(table_1e4, primes_2e5, args, cut):
+@given(boundary_args())
+@example((24, 3))  # k = 5: x = k^2 - 1, y = isqrt(x) - 1 expands the root
+@example((25, 5))  # y = isqrt(x) makes the root a leaf
+@example((202_500, 450))
+def test_psi_regime_boundary(primes_2e5, args):
     x, y = args
-    sieves = math.floor(y) < isqrt(x)
-    assert (smooth.psi_table_limit(x, y) is not None) == sieves
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 50_000))  # one frame per prime <= y
     try:
         want = psi_buchstab(x, y, primes_2e5)
     finally:
         sys.setrecursionlimit(limit)
-    assert psi(x, y, table_1e4 if sieves else None) == want
-    cut = min(cut, x)
-    parts = psi_part(x, y, 0, cut, table_1e4) + psi_part(x, y, cut, x, table_1e4)
-    assert parts == want
+    assert psi(x, y) == want
 
 
 def test_psi_window_examples(table_1e4):
@@ -211,14 +241,14 @@ def test_psi_window_examples(table_1e4):
     assert rep.count == 3  # 12, 16, 18
     assert rep.smooth_head == 12 and rep.smooth_tail == 18
     rep = psi_window(0, 10, 3, table_1e4)
-    assert rep.count == psi(10, 3, table_1e4) == 7
+    assert rep.count == psi(10, 3) == 7
     assert rep.smooth_head == 1
 
 
 def test_window_matches_global_on_grid(table_1e4):
     for x in range(1, 1001, 7):
         for y in (2, 5, 17, 97):
-            assert psi_window(0, x, y, table_1e4).count == psi(x, y, table_1e4)
+            assert psi_window(0, x, y, table_1e4).count == psi(x, y)
 
 
 def test_window_splits_add_up(table_1e4):
@@ -452,21 +482,21 @@ def test_exceptional_scan_1e5_with_default_c0(table_1e4):
     "+12% at alpha=1/2 and +49% at alpha=1/3 for x=1e6, so a 5% gate "
     "cannot hold at this scale; kept as stated for the record",
 )
-def test_dickman_limit_within_5pct_at_1e6(table_1e6):
+def test_dickman_limit_within_5pct_at_1e6():
     t = build_rho_table(4.0)
     for alpha in (0.5, 1 / 3):
         y = (10**6) ** alpha
         target = rho(1 / alpha, t)
-        ratio = psi(10**6, y, table_1e6) / 10**6
+        ratio = psi(10**6, y) / 10**6
         assert abs(ratio - target) <= 0.05 * target, alpha
 
 
-def test_dickman_limit_direction_at_1e6(table_1e6):
+def test_dickman_limit_direction_at_1e6():
     # what actually holds at x = 1e6: the ratio exceeds the limit by the
     # expected finite-x excess, and sits well inside [rho, 1.6 rho]
     t = build_rho_table(4.0)
     for alpha in (0.5, 1 / 3):
         y = (10**6) ** alpha
         target = rho(1 / alpha, t)
-        ratio = psi(10**6, y, table_1e6) / 10**6
+        ratio = psi(10**6, y) / 10**6
         assert target < ratio < 1.6 * target, alpha
