@@ -10,7 +10,14 @@ from pathlib import Path
 import grimmsmooth
 from grimmsmooth import build_rho_table
 from grimmsmooth.cli import _PARSER, replay_manifest, run
-from oracles import psi_buchstab, ram_sum_miller_rabin, sieve_primes, trial_primes
+from oracles import (
+    psi_buchstab,
+    psi_large_y,
+    ram_sum_miller_rabin,
+    sieve_primes,
+    smooth_count_direct,
+    trial_primes,
+)
 
 
 def invoke(argv, tmp_path, manifest=None):
@@ -454,6 +461,18 @@ def test_one_shard_runs_in_process(tmp_path, monkeypatch):
     assert invoke(argv + ["--workers", "2"], tmp_path) == base
 
 
+def _psi_square_grid():
+    """(x, y, Psi(x, y)) with x on both sides of 150^2 and y on both sides
+    of isqrt(x)."""
+    k = 150
+    cases = []
+    for x in (k * k - 1, k * k, k * k + 1):
+        r = isqrt(x)
+        for y in (r - 1, r, r + 0.5, 2.5 * r):
+            cases.append((x, y, psi_buchstab(x, y, trial_primes(int(y)))))
+    return cases
+
+
 def test_psi_prime_regime_runs_in_process(tmp_path, monkeypatch):
     # psi builds no prime table and never forks, whether floor(y) reaches
     # isqrt(x) or not, and its manifest records neither
@@ -466,12 +485,7 @@ def test_psi_prime_regime_runs_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(grimmsmooth.primes.PrimeTable, "__init__", refuse)
     mpath = tmp_path / "psi.manifest.json"
     cases = [(20000000, 10000, 8532550), (20000000, 1000, 3421876)]
-    k = 150  # x on both sides of a square, y on both sides of isqrt(x)
-    for x in (k * k - 1, k * k, k * k + 1):
-        r = isqrt(x)
-        for y in (r - 1, r, r + 0.5, 2.5 * r):
-            cases.append((x, y, psi_buchstab(x, y, trial_primes(int(y)))))
-    for x, y, want in cases:
+    for x, y, want in cases + _psi_square_grid():
         argv = ["psi", "--x", str(x), "--y", str(y)]
         out = (0, f"x,y,psi\n{x},{float(y)},{want}\n")
         assert invoke(argv, tmp_path, manifest=mpath) == out, argv
@@ -491,6 +505,73 @@ def test_psi_manifest_with_workers_or_checkpoint_no_longer_replays(tmp_path, cap
         assert replay_manifest(str(mpath)) == (2, hashlib.sha256(b"").hexdigest())
         assert f"--{next(iter(extra))}" in capsys.readouterr().err
 
+
+
+def test_psi_regimes_across_workers(tmp_path, monkeypatch, capsys):
+    # psi prints the same count and records one worker whatever the CPU
+    # count, which sharded commands take as their pool size by default, and
+    # --workers is not one of its flags
+    mpath = tmp_path / "psi.manifest.json"
+    for x, y, want in _psi_square_grid():
+        argv = ["psi", "--x", str(x), "--y", str(y)]
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
+            out = (0, f"x,y,psi\n{x},{float(y)},{want}\n")
+            assert invoke(argv, tmp_path, manifest=mpath) == out, (argv, cpus)
+            data = json.loads(mpath.read_text())
+            assert (data["table_limit"], data["worker_count"]) == (None, 1), argv
+        capsys.readouterr()
+        assert invoke(argv + ["--workers", "2"], tmp_path) == (2, ""), argv
+        assert "--workers" in capsys.readouterr().err
+
+
+def _psi_refuses_checkpoint(tmp_path, capsys, x, y, records, want):
+    # psi keeps no checkpoint: one written by an earlier version exits 2,
+    # prints nothing and is left as it was; without the flag psi prints want
+    ck = tmp_path / "psi.ckpt"
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    ck.write_text(text)
+    argv = ["psi", "--x", str(x), "--y", str(y)]
+    capsys.readouterr()
+    assert invoke(argv + ["--checkpoint", str(ck)], tmp_path) == (2, "")
+    assert "--checkpoint" in capsys.readouterr().err
+    assert ck.read_text() == text
+    assert invoke(argv, tmp_path) == (0, f"x,y,psi\n{x},{y},{want}\n")
+
+
+def test_psi_checkpoint_of_smooth_counts_is_refused(tmp_path, capsys):
+    # earlier versions stored each psi shard's smooth count
+    x, y = 20000, 200.0  # isqrt(x) = 141
+    want = psi_buchstab(x, y, trial_primes(200))
+    cuts = [0, 4096, 8192, 12288, 16384, x]
+    counts = [smooth_count_direct(a + 1, b, y) for a, b in zip(cuts, cuts[1:])]
+    assert sum(counts) == want
+    meta = {
+        "cmd": "psi", "x": x, "y": y, "span": 4096,
+        "version": grimmsmooth.__version__,
+    }
+    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(counts[:3])]
+    _psi_refuses_checkpoint(tmp_path, capsys, x, y, records, want)
+
+
+def test_psi_checkpoint_of_prime_regime_shards_is_refused(tmp_path, capsys):
+    # earlier versions ran floor(y) >= isqrt(x) on 2^21-value shards, each
+    # storing its share of the sum; the first share alone is not Psi(x, y)
+    x, y = 10**7, 10_000.0  # isqrt(x) = 3162
+    ps = sieve_primes(3 * 2**21)
+    cuts = [0, 2**21, 2**22, 3 * 2**21]
+    shares = [
+        (b - a) - int((x // ps[(ps > max(a, y)) & (ps <= b)]).sum())
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    meta = {
+        "cmd": "psi", "x": x, "y": y, "span": 2**21,
+        "version": grimmsmooth.__version__, "regime": "primes",
+    }
+    want = psi_large_y(x, y)
+    assert shares[0] != want
+    records = [{"meta": meta}] + [{"shard": i, "result": c} for i, c in enumerate(shares)]
+    _psi_refuses_checkpoint(tmp_path, capsys, x, y, records, want)
 
 def test_scan_shards_through_the_pool(tmp_path, monkeypatch):
     import grimmsmooth.cli as cli
